@@ -812,9 +812,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser.add_argument("--engine", choices=list(ENGINES),
                         default=DEFAULT_ENGINE,
-                        help="serve only: simulation backend (the "
+                        help="serve only: static scheduler backend (the "
                              "vectorized core is bit-identical to the "
-                             "scalar reference and ~100x faster)")
+                             "scalar reference and ~100x faster; "
+                             "--autoscale runs ignore it)")
     return parser
 
 

@@ -31,15 +31,13 @@ the static scheduler, and every random draw (arrival process, priority
 classes, closed-loop think times) comes from seeded generators, so runs
 are bit-deterministic -- including across processes and
 ``PYTHONHASHSEED`` values.  The controller's feedback makes the elastic
-path inherently sequential, so both ``engine`` settings execute this
-one control loop -- but under ``engine="vectorized"`` the loop sheds
-its per-event overheads: open-loop arrivals are pointer-merged against
-the heap instead of heap-pushed at setup, admission runs in bulk while
-every serving device is busy, and the per-tick overdue scan becomes the
-amortized-O(1) :class:`~repro.simcore.elastic.OverdueTracker`.  All
-three shortcuts replay the identical comparisons on the identical
-floats, and the differential suite in ``tests/scale`` proves the two
-engines bit-identical across plain, fault, and integrity variants.
+path inherently sequential, so every elastic run executes this one
+control loop whatever :attr:`~repro.serve.simulator.ServeConfig.engine`
+says (the flag selects only the static scheduler).  The loop keeps its
+per-event costs flat: open-loop arrivals are pointer-merged against the
+heap instead of heap-pushed, admission runs in bulk while every serving
+device is busy, and the per-tick overdue count comes from the
+amortized-O(1) :class:`~repro.simcore.elastic.OverdueTracker`.
 
 **Fault plans and ABFT integrity compose with the elastic loop.**  The
 loop embeds the static scheduler's fault machinery verbatim (timeouts,
@@ -113,8 +111,7 @@ __all__ = [
     "golden_autoscale_fault_config",
 ]
 
-_ARRIVE, _TIMER, _DONE, _WARM, _CONTROL, _ISSUE, _FAIL, _WAKE = \
-    0, 1, 2, 3, 4, 5, 6, 7
+_TIMER, _DONE, _WARM, _CONTROL, _ISSUE, _FAIL, _WAKE = range(7)
 
 
 class ScaleConfigError(ScalePolicyError):
@@ -167,6 +164,12 @@ class ScaleConfig:
             if not times:
                 raise ScaleConfigError(
                     "arrivals must contain at least one timestamp")
+            bad = next((i for i, t in enumerate(times)
+                        if not math.isfinite(t)), None)
+            if bad is not None:
+                raise ScaleConfigError(
+                    f"arrival times must be finite, got {times[bad]!r} "
+                    f"at index {bad}")
             if any(t < 0 for t in times):
                 raise ScaleConfigError(
                     "arrival times must be non-negative")
@@ -540,7 +543,6 @@ class ScaleSimulator:
         protected = cfg.integrity.enabled
         ecc = ECCModel(cfg.ecc) if cfg.ecc.enabled else None
         retry = cfg.retry
-        vector = cfg.engine == "vectorized"
 
         if capture:
             from ..telemetry.build import StageTable
@@ -581,8 +583,7 @@ class ScaleSimulator:
         pool_min = pool_max = len(serving)
         peak_burn = 0.0
         warmup_total = 0.0
-        overdue = OverdueTracker(cfg.slo_s, len(classes)) if vector \
-            else None
+        overdue = OverdueTracker(cfg.slo_s, len(classes))
 
         closed = self.config.closed_loop
         arr_times: List[float] = []
@@ -601,17 +602,8 @@ class ScaleSimulator:
             n_expected = len(times)
             for req_id in range(n_expected):
                 priorities[req_id] = int(assigned[req_id])
-            if vector:
-                # Pointer-merged arrivals: never heap-pushed.  Dynamic
-                # events start at sequence ``n_expected`` -- exactly
-                # where they would after ``n_expected`` setup pushes --
-                # so every (time, seq) heap comparison matches the
-                # scalar engine's and the merged order is identical.
-                arr_times = [float(t) for t in times]
-                push_seq = n_expected
-            else:
-                for req_id, t in enumerate(times):
-                    push(float(t), _ARRIVE, req_id)
+            # Pointer-merged arrivals: never heap-pushed.
+            arr_times = [float(t) for t in times]
             issues_pending = 0
             issued = n_expected
         else:
@@ -626,13 +618,11 @@ class ScaleSimulator:
                 push(float(offset), _ISSUE, client)
                 issues_pending += 1
 
-        arrivals_pending = n_expected if closed is None else 0
-
         def work_remains() -> bool:
             if n_open > 0 or issues_pending > 0:
                 return True
             if closed is None:
-                return arrivals_pending > 0
+                return arr_ptr < len(arr_times)
             return issued < n_expected
 
         def retopo() -> None:
@@ -661,8 +651,7 @@ class ScaleSimulator:
                     >= record.n_required:
                 record.retrieval_done_s = now
                 n_open -= 1
-                if overdue is not None:
-                    overdue.resolve(record.req_id)
+                overdue.resolve(record.req_id)
                 merge = self._merge_for(record.n_required)
                 lat = (now - record.arrival_s) + merge + self.prefill_s
                 tti_latency[record.req_id] = lat
@@ -867,8 +856,7 @@ class ScaleSimulator:
                                        n_required=0)
                 records[req_id] = record
                 n_open += 1
-                if overdue is not None:
-                    overdue.admit(req_id, now, prio)
+                overdue.admit(req_id, now, prio)
                 check_resolved(record, now)
                 return
             threshold = policy.admission.shed_queue_batches \
@@ -886,8 +874,7 @@ class ScaleSimulator:
                                    n_required=len(serving))
             records[req_id] = record
             n_open += 1
-            if overdue is not None:
-                overdue.admit(req_id, now, prio)
+            overdue.admit(req_id, now, prio)
             # Snapshot: maybe_dispatch can declare the shard dead
             # (permanent outage discovered at dispatch), and
             # declare_dead edits ``serving`` -- iterating the live
@@ -948,19 +935,17 @@ class ScaleSimulator:
         while heap or arr_ptr < len(arr_times):
             if arr_ptr < len(arr_times) \
                     and (not heap or arr_times[arr_ptr] <= heap[0][0]):
-                # Pointer-merged arrival(s), vectorized engine only.
-                # Setup-pushed arrivals carry sequences 0..n-1, below
-                # every dynamic event, so at equal timestamps the
-                # scalar engine pops the arrival first -- merging on
-                # ``<=`` replays exactly that order.
+                # Pointer-merged arrival(s).  At equal timestamps an
+                # arrival goes before every heap event (merging on
+                # ``<=``).
                 if serving and all(slots[j].busy for j in serving):
                     # Bulk admission: while every serving device is
                     # busy, an admitted arrival only appends to queues
                     # (each maybe_dispatch is a busy no-op), so the
                     # queue-pressure shed test is the whole decision.
-                    # The incremental counter reproduces the identical
-                    # integer sum -- hence the identical float
-                    # division -- the scalar loop computes per arrival.
+                    # The incremental counter is the identical integer
+                    # sum -- hence the identical float division --
+                    # queue_pressure() computes per arrival.
                     horizon = heap[0][0] if heap else math.inf
                     queued = sum(len(slots[j].queue) for j in serving)
                     denom = len(serving) * batch_policy.max_batch
@@ -970,7 +955,6 @@ class ScaleSimulator:
                         now = arr_times[arr_ptr]
                         req_id = arr_ptr
                         arr_ptr += 1
-                        arrivals_pending -= 1
                         prio = priorities[req_id]
                         threshold = policy.admission.shed_queue_batches \
                             * classes[prio].weight
@@ -986,8 +970,7 @@ class ScaleSimulator:
                             n_required=width)
                         records[req_id] = record
                         n_open += 1
-                        if overdue is not None:
-                            overdue.admit(req_id, now, prio)
+                        overdue.admit(req_id, now, prio)
                         for shard_id in serving:
                             slots[shard_id].queue.append((req_id, now))
                         queued += width
@@ -995,14 +978,10 @@ class ScaleSimulator:
                     now = arr_times[arr_ptr]
                     req_id = arr_ptr
                     arr_ptr += 1
-                    arrivals_pending -= 1
                     handle_arrival(req_id, now, priorities[req_id])
                 continue
             now, _, kind, payload = heapq.heappop(heap)
-            if kind == _ARRIVE:
-                arrivals_pending -= 1
-                handle_arrival(payload, now, priorities[payload])
-            elif kind == _TIMER:
+            if kind == _TIMER:
                 shard_id, gen = payload
                 if slots[shard_id].gen == gen:
                     maybe_dispatch(shard_id, now)
@@ -1062,16 +1041,7 @@ class ScaleSimulator:
                 req_client[req_id] = payload
                 handle_arrival(req_id, now, prio)
             else:  # _CONTROL
-                if overdue is not None:
-                    overdue_by_class = overdue.counts(now)
-                else:
-                    overdue_by_class = [0 for _ in classes]
-                    for record in records.values():
-                        if record.retrieval_done_s is None \
-                                and now - record.arrival_s > cfg.slo_s:
-                            overdue_by_class[
-                                priorities[record.req_id]] += 1
-                windows = controller.class_windows(now, overdue_by_class)
+                windows = controller.class_windows(now, overdue.counts(now))
                 burn = 0.0
                 class_burns = []
                 for i, window in enumerate(windows):

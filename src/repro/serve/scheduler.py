@@ -99,7 +99,8 @@ class BatchPolicy:
                 f"max_batch must be an integer >= 1, got {self.max_batch!r}")
         if not np.isfinite(self.max_wait_s) or self.max_wait_s < 0:
             raise ValueError(
-                f"max_wait_s must be >= 0, got {self.max_wait_s!r}")
+                f"max_wait_s must be finite and >= 0, "
+                f"got {self.max_wait_s!r}")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ flips, detections, recomputes, scrub passes, SDC escapes) on the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -131,16 +132,19 @@ class ServeConfig:
     #: charges the check-bit storage inflation plus the per-query
     #: encode/decode cycles.
     ecc: ECCConfig = field(default_factory=ECCConfig)
-    #: Execution backend: ``"scalar"`` (the reference event loop) or
-    #: ``"vectorized"`` (the NumPy core, validated bit-identical
-    #: against it by ``tests/simcore``).
+    #: Static scheduler backend: ``"scalar"`` (the reference event
+    #: loop) or ``"vectorized"`` (the NumPy core, validated
+    #: bit-identical against it by ``tests/simcore``).  Elastic runs
+    #: (a :class:`~repro.scale.ScaleConfig` with a policy) always use
+    #: the one elastic loop and ignore it.
     engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k!r}")
-        if self.slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {self.slo_s!r}")
+        if not (math.isfinite(self.slo_s) and self.slo_s > 0):
+            raise ValueError(
+                f"slo_s must be finite and positive, got {self.slo_s!r}")
         if self.n_shards > self.spec.n_chunks:
             raise ValueError(
                 f"{self.n_shards} shards for {self.spec.n_chunks} chunks "

@@ -1,28 +1,28 @@
-"""Vectorized-engine helpers for the elastic (autoscaling) event loop.
+"""Helpers for the elastic (autoscaling) event loop.
 
 The elastic loop is inherently sequential -- the burn-rate controller's
-feedback at every tick depends on everything admitted so far -- so the
-vectorized engine cannot batch-evaluate whole shard timelines the way
-the static :class:`~repro.simcore.vectorized.VectorizedScheduler` does.
-What it *can* remove is the per-event bookkeeping that dominates large
-elastic runs:
+feedback at every tick depends on everything admitted so far -- so it
+cannot batch-evaluate whole shard timelines the way the static
+:class:`~repro.simcore.vectorized.VectorizedScheduler` does.  It is one
+loop for every elastic run, whatever the ``engine`` flag says, and it
+keeps its per-event bookkeeping flat:
 
 * arrivals are pointer-merged against the event heap instead of being
   heap-pushed at setup (``O(n)`` instead of ``O(n log n)``, and the
   heap stays small enough to keep every dynamic pop cheap);
 * the per-tick "how many admitted requests are already past the SLO"
-  scan -- ``O(open requests)`` per control tick in the scalar loop --
-  becomes the :class:`OverdueTracker` below, amortized ``O(1)`` per
-  admission.
+  question -- a full scan of the record table per control tick, which
+  made long runs quadratic -- is answered by the :class:`OverdueTracker`
+  below, amortized ``O(1)`` per admission.
 
-Both shortcuts are *exact*: they replay the identical comparisons on
-the identical floats the scalar loop evaluates, so the differential
-suite in ``tests/scale`` proves elastic runs bit-identical between the
-two engines across plain, fault, and integrity variants.
+The tracker is *exact*: it applies the identical comparison on the
+identical floats the full scan applies.  ``tests/simcore/test_overdue.py``
+checks it against that scan on random admit/resolve/tick sequences.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 __all__ = ["OverdueTracker"]
@@ -31,10 +31,10 @@ __all__ = ["OverdueTracker"]
 class OverdueTracker:
     """Amortized-O(1) per-class count of admitted requests past the SLO.
 
-    The scalar elastic loop answers "how many unresolved requests are
-    older than the SLO right now?" with a full scan of the record table
-    at every control tick.  This tracker answers the same question from
-    a monotone cursor: admissions arrive in time order (they are event
+    The question "how many unresolved requests are older than the SLO
+    right now?" could be answered with a full scan of the record table
+    at every control tick.  This tracker answers it from a monotone
+    cursor: admissions arrive in time order (they are event
     -loop timestamps), control ticks query at non-decreasing ``now``,
     and ``now - arrival > slo`` is monotone in ``now`` for a fixed
     arrival -- so once a request crosses the threshold it stays crossed
@@ -42,16 +42,16 @@ class OverdueTracker:
 
     Exactness matters more than speed: :meth:`counts` applies the
     *identical* float comparison (``now_s - arrival_s > slo_s``) the
-    scalar scan applies, in admission order, so both engines count the
-    same requests at every tick.
+    full scan applies, so both count the same requests at every tick.
     """
 
     __slots__ = ("_slo_s", "_n_classes", "_arrivals", "_classes",
                  "_resolved", "_pos", "_cursor", "_counts")
 
     def __init__(self, slo_s: float, n_classes: int):
-        if slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {slo_s!r}")
+        if not (math.isfinite(slo_s) and slo_s > 0):
+            raise ValueError(
+                f"slo_s must be finite and positive, got {slo_s!r}")
         if n_classes < 1:
             raise ValueError(
                 f"n_classes must be >= 1, got {n_classes!r}")

@@ -1,6 +1,7 @@
-"""Engine selection for the serving simulator.
+"""Engine selection for the static serving simulator.
 
-Two execution backends produce a :class:`~repro.serve.scheduler.ScheduleResult`:
+Two execution backends produce a :class:`~repro.serve.scheduler.ScheduleResult`
+(elastic runs always use the one elastic loop and ignore the choice):
 
 * ``"scalar"`` -- the reference :class:`~repro.serve.scheduler.DiscreteEventScheduler`,
   a plain binary-heap event loop.  Slow, obviously correct, and the

@@ -8,11 +8,10 @@ Two families of pins:
   byte-identical to ``ServingSimulator`` on the same config, for both
   engines and including the fault-plan and integrity variants.  This is
   what lets the elastic path land without re-golden-ing anything.
-* **The elastic loop is engine-invariant.**  The vectorized engine's
-  shortcuts (pointer-merged arrivals, bulk admission, the amortized
-  overdue tracker) must be *exact* -- every elastic run, including the
+* **The elastic loop is engine-invariant.**  Elastic runs use one loop
+  whatever the ``engine`` flag says -- every elastic run, including the
   fault/failover and SDC/integrity variants, produces bit-identical
-  reports, action logs, trace events, and telemetry on both engines.
+  reports, action logs, trace events, and telemetry under both values.
 """
 
 import dataclasses

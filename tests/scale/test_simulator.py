@@ -1,9 +1,13 @@
 """Elastic-simulator invariants on the canonical autoscale workload."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.obs import LANE_SCALE, collecting
 from repro.rag.corpus import PAPER_CORPORA
 from repro.scale import (
@@ -29,6 +33,20 @@ def golden_run():
     simulator = ScaleSimulator(config)
     report = simulator.run()
     return config, simulator, report
+
+
+_NAN_ARRIVAL_SCRIPT = """\
+from repro.scale import ScaleConfig, ScaleConfigError, ScalePolicy, \\
+    ScaleSimulator
+from repro.serve.simulator import golden_serve_config
+
+try:
+    ScaleSimulator(ScaleConfig(serve=golden_serve_config(),
+                               policy=ScalePolicy(),
+                               arrivals=(0.1, float("nan"), 0.3))).run()
+except ScaleConfigError:
+    print("ScaleConfigError")
+"""
 
 
 class TestElasticRun:
@@ -226,6 +244,28 @@ class TestConfigValidation:
     def test_malformed_arrival_traces_rejected(self, arrivals):
         with pytest.raises(ScaleConfigError):
             ScaleConfig(serve=golden_serve_config(), arrivals=arrivals)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected_with_its_index(self, bad):
+        with pytest.raises(ScaleConfigError, match="index 1"):
+            ScaleConfig(serve=golden_serve_config(), policy=ScalePolicy(),
+                        arrivals=(0.1, bad, 0.3))
+
+    def test_nan_arrival_fails_fast_not_hangs(self):
+        """A NaN arrival once passed validation and hung the elastic
+        loop; the whole attempt must now end in a typed error well
+        inside a wall budget (run in a child so a hang cannot stall
+        the suite)."""
+        src_dir = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH", "")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _NAN_ARRIVAL_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ScaleConfigError"
 
 
 class TestPoolModel:

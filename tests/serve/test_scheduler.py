@@ -148,8 +148,9 @@ class TestSchedulerEdges:
                 BatchPolicy(max_batch=bad)
         with pytest.raises(ValueError):
             BatchPolicy(max_wait_s=-1e-3)
-        with pytest.raises(ValueError):
-            BatchPolicy(max_wait_s=float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="max_wait_s must be finite"):
+                BatchPolicy(max_wait_s=bad)
 
     def test_invalid_shards_rejected(self):
         for bad in (0, -1, 2.5, True):

@@ -145,8 +145,9 @@ class TestValidation:
         spec = PAPER_CORPORA["10GB"]
         with pytest.raises(ValueError):
             ServeConfig(spec=spec, k=0)
-        with pytest.raises(ValueError):
-            ServeConfig(spec=spec, slo_s=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slo_s must be finite"):
+                ServeConfig(spec=spec, slo_s=bad)
         with pytest.raises(ValueError):
             ServeConfig(spec=spec, n_shards=spec.n_chunks + 1)
 
