@@ -18,6 +18,7 @@ telemetry pipeline reports.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, List, Sequence, Tuple
 
@@ -36,10 +37,12 @@ class BurnSignal:
     """
 
     def __init__(self, window_s: float, slo_s: float, n_classes: int = 1):
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s!r}")
-        if slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {slo_s!r}")
+        if not (math.isfinite(window_s) and window_s > 0):
+            raise ValueError(
+                f"window_s must be finite and positive, got {window_s!r}")
+        if not (math.isfinite(slo_s) and slo_s > 0):
+            raise ValueError(
+                f"slo_s must be finite and positive, got {slo_s!r}")
         if n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {n_classes!r}")
         self.window_s = window_s

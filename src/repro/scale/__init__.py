@@ -5,8 +5,8 @@ fed by an open-loop arrival stream.  This package closes the loop: an
 :class:`~repro.scale.pool.ElasticAPUDevicePool` whose
 :class:`~repro.scale.controller.BurnRateController` attaches and
 detaches simulated APU devices driven by online SLO error-budget burn
-(the same :class:`~repro.telemetry.metrics.BurnWindow` arithmetic the
-telemetry layer reports), admission control with priority classes and
+(the :class:`~repro.monitor.signal.BurnSignal` the monitor replays),
+admission control with priority classes and
 load shedding under overload, and closed-loop client populations with
 think time.  Warm-up is physical: an attached device serves nothing
 until its corpus slice has streamed through the simulated HBM.

@@ -55,8 +55,6 @@ class BurnRateController:
 
     def __init__(self, policy: AutoscalePolicy, slo_s: float,
                  n_classes: int = 1):
-        if slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {slo_s!r}")
         if n_classes < 1:
             raise ValueError(
                 f"n_classes must be >= 1, got {n_classes!r}")

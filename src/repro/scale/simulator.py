@@ -14,14 +14,15 @@ attached, the run becomes a closed control loop:
   is shed instead of enqueued -- low-weight background traffic sheds
   first, protecting interactive traffic;
 * a :class:`~repro.scale.controller.BurnRateController` ticks at a
-  fixed cadence, measuring the trailing window's SLO error-budget burn
-  (the :class:`~repro.telemetry.metrics.BurnWindow` arithmetic of the
-  telemetry layer, evaluated online) and attaching or detaching shard
-  devices within the policy's pool bounds;
+  fixed cadence, reading the trailing window's SLO error-budget burn
+  from its :class:`~repro.monitor.signal.BurnSignal` (the one signal
+  the monitor replays) and attaching or detaching shard devices within
+  the policy's pool bounds;
 * a newly attached device is **cold**: it serves nothing until its
   corpus slice has streamed in through the simulated HBM (the
   :meth:`~repro.scale.pool.ElasticAPUDevicePool.warmup_seconds` DMA-in
-  cost), after which the pool re-anchors on the new topology;
+  cost), after which every serving slot is priced on its slice of the
+  new topology;
 * a detached device **drains**: queued sub-queries finish on its frozen
   slice (the mirror image of the static simulator's shard-death
   takeover), while new arrivals fan out to the remaining devices.
@@ -40,10 +41,14 @@ device is busy, and the per-tick overdue count comes from the
 amortized-O(1) :class:`~repro.simcore.elastic.OverdueTracker`.
 
 **Fault plans and ABFT integrity compose with the elastic loop.**  The
-loop embeds the static scheduler's fault machinery verbatim (timeouts,
-outage interrupts, backoff retries, corruption detection + recompute,
+loop prices batches with the static simulator's
+:class:`~repro.serve.costs.SliceCostModel` and judges every attempt
+with the static scheduler's own helpers
+(:func:`~repro.serve.scheduler.judge_attempt` for timeouts, outage
+interrupts, bit flips, ECC and ABFT detection and recompute marking;
+:func:`~repro.serve.scheduler.charge_failure` for backoff retries and
 death on retry-budget exhaustion), then closes the control loop over
-it:
+them:
 
 * each :class:`PriorityClass` carries its own trailing burn window and
   the controller scales on the **worst** class, so a starving
@@ -80,19 +85,19 @@ from ..rag.corpus import PAPER_CORPORA
 from ..rag.generation import GenerationModel
 from ..serve.metrics import LatencyStats, slo_attainment, utilization
 from ..serve.scheduler import (
-    OUTCOME_CORRUPTED,
-    OUTCOME_INTERRUPTED,
     OUTCOME_OK,
-    OUTCOME_TIMEOUT,
     BatchPolicy,
     ExecutedBatch,
     RequestRecord,
     RetryPolicy,
     ScheduleResult,
+    charge_failure,
+    judge_attempt,
 )
 from ..serve.sharding import merge_cycles, merge_seconds
 from ..serve.simulator import ServeConfig, ServeReport, \
-    ServingSimulator, emit_fault_trace, emit_integrity_trace
+    ServingSimulator, emit_batch_trace, emit_fault_trace, \
+    emit_integrity_trace
 from ..serve.workload import ClosedLoopConfig, spike_arrival_times, \
     trace_arrivals
 from ..simcore.elastic import OverdueTracker
@@ -507,7 +512,7 @@ class ScaleSimulator:
             for r in run.result.records
             if r.retrieval_done_s is not None}
         attach_bytes = {
-            j: pool.embedding_bytes(pool.base_counts[j])
+            j: pool.costs.embedding_bytes(pool.base_counts[j])
             for j in range(pool.capacity)}
         monitor = build_run_monitor(
             workload=workload,
@@ -533,6 +538,7 @@ class ScaleSimulator:
         policy = self.config.policy
         assert policy is not None and self._pool is not None
         pool = self._pool
+        costs = pool.costs
         auto = policy.autoscale
         classes = policy.priorities
         shares = np.asarray(policy.shares, dtype=np.float64)
@@ -546,7 +552,7 @@ class ScaleSimulator:
 
         if capture:
             from ..telemetry.build import StageTable
-            stage_memo: Dict[Tuple[int, int], Any] = {}
+            stage_memo: Dict[Tuple[int, int, int], Any] = {}
 
         heap: List[tuple] = []
         push_seq = 0
@@ -709,64 +715,14 @@ class ScaleSimulator:
             head_enqueue = state.queue[0][1]
             taken = state.queue[:take]
             del state.queue[:take]
-            recompute = False
-            base = pool.service_seconds(state.chunk_count, take)
+            base = costs.service_seconds(state.chunk_count, take)
             if injector is None:
-                service = base
-                multiplier = 1.0
-                outcome = OUTCOME_OK
-                occupied = service
-                corrupted = False
+                multiplier, outcome, occupied = 1.0, OUTCOME_OK, base
+                corrupted = recompute = False
             else:
-                multiplier = injector.multiplier(shard_id, now)
-                service = base * multiplier
-                outcome = OUTCOME_OK
-                fail_at = math.inf
-                if retry.timeout_s < service:
-                    fail_at = now + retry.timeout_s
-                    outcome = OUTCOME_TIMEOUT
-                next_outage = injector.next_outage_start(shard_id, now)
-                if next_outage < min(now + service, fail_at):
-                    fail_at = next_outage
-                    outcome = OUTCOME_INTERRUPTED
-                corrupted = False
-                if outcome == OUTCOME_OK \
-                        and injector.has_bit_flips(shard_id):
-                    flips = injector.transient_flips(shard_id)
-                    cursor = state.flip_cursor
-                    while cursor < len(flips) \
-                            and flips[cursor].t_s < now + service:
-                        cursor += 1
-                    consumed_flips = flips[state.flip_cursor:cursor]
-                    stuck = injector.stuck_active(shard_id, now + service)
-                    state.flip_cursor = cursor
-                    detected = False
-                    if ecc is None:
-                        corrupted = bool(consumed_flips) or bool(stuck)
-                    elif consumed_flips or stuck:
-                        # Mirrors the static scheduler's ECC
-                        # classification: corrected windows stay clean,
-                        # decoder-flagged uncorrectables fail even
-                        # unprotected, miscorrections ride the sdc
-                        # path unless ABFT is also on.
-                        corrupted, detected, ecc_kinds = \
-                            ecc.judge(consumed_flips, stuck)
-                        for ecc_kind in ecc_kinds:
-                            fault_log.append(FaultLogEntry(
-                                kind=ecc_kind, shard_id=shard_id,
-                                t_s=now, attempt=state.failures))
-                    if corrupted and (protected or detected):
-                        outcome = OUTCOME_CORRUPTED
-                    if state.last_corrupted:
-                        state.last_corrupted = False
-                        recompute = True
-                        fault_log.append(FaultLogEntry(
-                            kind="recompute", shard_id=shard_id,
-                            t_s=now, duration_s=service,
-                            attempt=state.failures))
-                occupied = service \
-                    if outcome in (OUTCOME_OK, OUTCOME_CORRUPTED) \
-                    else fail_at - now
+                multiplier, outcome, occupied, corrupted, recompute = \
+                    judge_attempt(injector, retry, ecc, protected, state,
+                                  shard_id, now, base, fault_log.append)
             batch = ExecutedBatch(
                 shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
                 service_s=occupied,
@@ -778,20 +734,15 @@ class ScaleSimulator:
             state.busy = True
             state.gen += 1  # stale any armed max-wait timer
             batches.append(batch)
-            batch_bytes.append(pool.embedding_bytes(state.chunk_count))
+            batch_bytes.append(costs.embedding_bytes(state.chunk_count))
             if capture:
-                key = (state.chunk_count, take)
+                key = (shard_id, state.chunk_count, take)
                 table = stage_memo.get(key)
                 if table is None:
                     table = stage_memo[key] = StageTable(
                         shard_id=shard_id, batch_size=take,
-                        stages=pool.stage_seconds(state.chunk_count, take))
-                if table.shard_id == shard_id:
-                    stage_tables.append(table)
-                else:
-                    stage_tables.append(StageTable(
-                        shard_id=shard_id, batch_size=take,
-                        stages=table.stages))
+                        stages=costs.stage_seconds(state.chunk_count, take))
+                stage_tables.append(table)
             if outcome == OUTCOME_OK:
                 push(batch.complete_s, _DONE, batch)
             else:
@@ -826,23 +777,14 @@ class ScaleSimulator:
             state = slots[batch.shard_id]
             state.busy = False
             state.busy_s += batch.service_s  # wasted work still occupies
-            state.failures += 1
-            state.last_corrupted = batch.outcome == OUTCOME_CORRUPTED
-            fault_log.append(FaultLogEntry(
-                kind=batch.outcome, shard_id=batch.shard_id,
-                t_s=batch.dispatch_s, duration_s=batch.service_s,
-                attempt=state.failures))
             # FIFO-preserving re-enqueue at the queue head.
             taken = pending_retry.pop((batch.shard_id, batch.seq))
             state.queue[0:0] = taken
-            if state.failures > retry.max_retries:
+            if charge_failure(retry, state, batch.shard_id, batch.outcome,
+                              batch.dispatch_s, batch.service_s, now,
+                              fault_log.append):
                 declare_dead(batch.shard_id, now)
                 return
-            backoff = retry.backoff_s(state.failures)
-            state.blocked_until = now + backoff
-            fault_log.append(FaultLogEntry(
-                kind="backoff", shard_id=batch.shard_id, t_s=now,
-                duration_s=backoff, attempt=state.failures))
             maybe_dispatch(batch.shard_id, now)
 
         def handle_arrival(req_id: int, now: float, prio: int) -> None:
@@ -1192,23 +1134,7 @@ class ScaleSimulator:
             return
         clock = self.params.clock_hz
         result = run.result
-        for batch, nbytes in zip(result.batches, run.batch_bytes):
-            wait = batch.dispatch_s - batch.head_enqueue_s
-            if wait > 0:
-                trace.emit(TraceEvent(
-                    name="serve_queue_wait", lane=LANE_VCU,
-                    start_cycle=batch.head_enqueue_s * clock,
-                    cycles=wait * clock,
-                    section=f"serve/shard{batch.shard_id}",
-                    core_id=batch.shard_id))
-            trace.emit(TraceEvent(
-                name="serve_batch", lane=LANE_VCU,
-                start_cycle=batch.dispatch_s * clock,
-                cycles=batch.service_s * clock,
-                count=1,
-                section=f"serve/shard{batch.shard_id}",
-                bytes_moved=nbytes,
-                core_id=batch.shard_id))
+        emit_batch_trace(trace, result.batches, run.batch_bytes, clock)
         capacity = result.n_shards
         for record in result.records:
             if record.retrieval_done_s is None:  # pragma: no cover
@@ -1246,7 +1172,7 @@ class ScaleSimulator:
                     start_cycle=action.t_s * clock,
                     cycles=action.duration_s * clock,
                     section=f"scale/shard{action.shard_id}",
-                    bytes_moved=pool.embedding_bytes(
+                    bytes_moved=pool.costs.embedding_bytes(
                         pool.base_counts[action.shard_id]),
                     core_id=action.shard_id))
             elif action.kind == "detach":

@@ -1,13 +1,11 @@
 """Span trees and metrics for elastic serving runs.
 
-The static telemetry builder (:mod:`repro.telemetry.build`) assumes one
-merge cost for every request -- correct when the pool size never
-changes.  Under autoscaling a request's scatter-gather width is the
-pool size *at its admission*, so the merge cost varies per request:
-:func:`build_scale_traces` rebuilds the span trees with each record's
-own ``n_required`` merge, reusing the static builder's shard-chain and
-stage-table machinery so a fixed-size elastic run degenerates to the
-static trees exactly.
+Under autoscaling a request's scatter-gather width is the pool size *at
+its admission*, so its top-k merge cost varies per request:
+:func:`build_scale_traces` runs the static builder
+(:func:`repro.telemetry.build.build_query_traces`) with a per-record
+merge lookup, so a fixed-size elastic run yields the static trees
+exactly.
 
 Everything here is derivational (post-run, from the synthesized
 :class:`~repro.serve.scheduler.ScheduleResult` and the action log), so
@@ -17,13 +15,13 @@ same property the static pipeline pins.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence
 
 from ..telemetry.build import (
     BATCH_SIZE_BOUNDS,
     RunTelemetry,
     StageTable,
-    _shard_chain,
+    build_query_traces,
 )
 from ..telemetry.critical import (
     CriticalPath,
@@ -35,14 +33,7 @@ from ..telemetry.metrics import (
     MetricsRegistry,
     slo_burn_windows,
 )
-from ..telemetry.spans import (
-    SPAN_MERGE,
-    SPAN_PREFILL,
-    SPAN_QUERY,
-    SPAN_QUEUE_WAIT,
-    QueryTrace,
-    Span,
-)
+from ..telemetry.spans import SPAN_QUEUE_WAIT, QueryTrace
 
 __all__ = [
     "build_scale_traces",
@@ -58,80 +49,12 @@ def build_scale_traces(result: Any,
                        ) -> List[QueryTrace]:
     """One :class:`QueryTrace` per admitted request, in req-id order.
 
-    ``merge_by_required`` maps a record's scatter-gather width to its
-    top-k merge cost (the simulator's memo) -- the only place the
-    elastic trees diverge from the static builder's single scalar.
+    The static builder, with ``merge_by_required`` (the simulator's
+    memo from a record's scatter-gather width to its top-k merge cost)
+    as the per-record merge lookup.
     """
-    tables: Dict[Tuple[int, int], StageTable] = {}
-    if stage_tables is not None:
-        if len(stage_tables) != len(result.batches):
-            raise ValueError(
-                f"{len(stage_tables)} stage tables for "
-                f"{len(result.batches)} executed batches")
-        for batch, table in zip(result.batches, stage_tables):
-            if table.shard_id != batch.shard_id \
-                    or table.batch_size != batch.batch_size:
-                raise ValueError(
-                    f"stage table ({table.shard_id}, {table.batch_size}) "
-                    f"does not match batch ({batch.shard_id}, "
-                    f"{batch.batch_size})")
-            tables[(batch.shard_id, batch.seq)] = table
-
-    by_request: Dict[int, Dict[int, List[Any]]] = {}
-    for batch in result.batches:
-        for req_id in batch.request_ids:
-            by_request.setdefault(req_id, {}).setdefault(
-                batch.shard_id, []).append(batch)
-
-    traces: List[QueryTrace] = []
-    for record in result.records:
-        done = record.retrieval_done_s
-        if done is None:  # pragma: no cover - simulator invariant
-            raise ValueError(f"request {record.req_id} never resolved")
-        merge_s = merge_by_required[record.n_required]
-        tti_end = (done + merge_s) + prefill_s
-        root = Span(name=SPAN_QUERY, start_s=record.arrival_s,
-                    end_s=tti_end,
-                    labels={"n_required": str(record.n_required)})
-        shard_ids = sorted(set(record.shard_done_s)
-                           | set(record.failed_shards))
-        leg_ends: Dict[int, float] = {}
-        for shard_id in shard_ids:
-            attempts = sorted(
-                by_request.get(record.req_id, {}).get(shard_id, []),
-                key=lambda b: b.dispatch_s)
-            leg = _shard_chain(record, shard_id, attempts, tables,
-                               result.death_times.get(shard_id))
-            leg_ends[shard_id] = leg.end_s
-            root.children.append(leg)
-        determining: Optional[int] = None
-        for shard_id in shard_ids:
-            if leg_ends[shard_id] == done:
-                determining = shard_id
-                break
-        if determining is None and shard_ids:
-            # pragma: no cover - resolution is a shard event
-            raise ValueError(
-                f"request {record.req_id}: no shard leg ends at the "
-                f"recorded resolution time {done!r}")
-        merge_end = done + merge_s
-        root.children.append(Span(name=SPAN_MERGE, start_s=done,
-                                  end_s=merge_end))
-        root.children.append(Span(name=SPAN_PREFILL, start_s=merge_end,
-                                  end_s=merge_end + prefill_s))
-        traces.append(QueryTrace(
-            req_id=record.req_id,
-            arrival_s=record.arrival_s,
-            retrieval_done_s=done,
-            merge_s=merge_s,
-            prefill_s=prefill_s,
-            root=root,
-            determining_shard=determining,
-            n_required=record.n_required,
-            failed_shards=tuple(sorted(record.failed_shards)),
-            corrupted_shards=tuple(sorted(record.corrupted_shards)),
-        ))
-    return traces
+    return build_query_traces(result, merge_by_required, prefill_s,
+                              stage_tables)
 
 
 def build_scale_metrics(report: Any, result: Any,

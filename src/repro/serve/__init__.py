@@ -3,7 +3,8 @@
 The paper measures one device answering one offline query at a time;
 ``repro.serve`` models the production deployment the ROADMAP targets:
 the corpus sharded across ``N`` simulated APU devices
-(:mod:`~repro.serve.sharding`), a request stream admitted by a
+(:mod:`~repro.serve.sharding`) and priced per corpus slice
+(:class:`~repro.serve.costs.SliceCostModel`), a request stream admitted by a
 deterministic discrete-event scheduler with per-shard dynamic batching
 (:mod:`~repro.serve.scheduler`), exact scatter-gather top-k merge
 (:class:`~repro.serve.retriever.ShardedAPURetriever`), and tail-latency
@@ -11,6 +12,7 @@ deterministic discrete-event scheduler with per-shard dynamic batching
 :class:`~repro.serve.simulator.ServingSimulator`).
 """
 
+from .costs import SliceCostModel
 from .degraded import chunk_owners, measured_degraded_recall, \
     oracle_live_recall
 from .metrics import LatencyStats, nearest_rank_percentile, slo_attainment, utilization
@@ -78,6 +80,7 @@ __all__ = [
     "ServingSimulator",
     "ShardServiceModel",
     "ShardedAPURetriever",
+    "SliceCostModel",
     "ThinkTimeError",
     "WorkloadConfigError",
     "bursty_arrival_times",

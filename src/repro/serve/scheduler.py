@@ -40,6 +40,11 @@ death/failover.  Unprotected, the batch "succeeds" and the corruption
 escapes silently: the affected requests record the shard in
 ``corrupted_shards`` and the log gains an ``"sdc"`` entry.
 
+These per-attempt semantics are written once, in :func:`judge_attempt`
+(the verdict on a dispatched attempt) and :func:`charge_failure` (retry,
+backoff and death bookkeeping); this loop, the vectorized core and the
+elastic loop all call them.
+
 The event loop is a plain binary heap ordered by ``(time, sequence)``;
 the sequence number makes simultaneous events process in insertion
 order, so the whole simulation is bit-deterministic for a fixed
@@ -57,7 +62,8 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, \
+    Tuple
 
 import numpy as np
 
@@ -72,6 +78,8 @@ __all__ = [
     "RequestRecord",
     "ScheduleResult",
     "DiscreteEventScheduler",
+    "charge_failure",
+    "judge_attempt",
 ]
 
 _ARRIVE, _TIMER, _DONE, _FAIL, _WAKE = 0, 1, 2, 3, 4
@@ -327,6 +335,102 @@ class _ShardState:
         self.flip_cursor = 0
 
 
+def judge_attempt(injector: FaultInjector, retry: RetryPolicy,
+                  ecc: Optional[ECCModel], protected: bool, state: Any,
+                  shard_id: int, now: float, base_s: float,
+                  log: Callable[[FaultLogEntry], None]
+                  ) -> Tuple[float, str, float, bool, bool]:
+    """The fault verdict on one batch attempt dispatched at ``now``.
+
+    ``base_s`` is the service model's un-stretched batch time; the
+    attempt runs ``injector.multiplier`` times longer.  It times out at
+    ``retry.timeout_s`` unless an outage opening first interrupts it.
+    An attempt that would complete computes on whatever the memory
+    held: it consumes every transient flip of the shard that lands
+    before its completion (the consume-once ``state.flip_cursor``) and
+    every stuck-at cell active by then.  ECC, when configured, sits
+    between the memory and the batch: corrected codewords leave the
+    data clean, a decoder-flagged uncorrectable fails the attempt even
+    without ABFT, and a miscorrection stays silent unless ``protected``
+    (ABFT) catches it.  A detected corruption fails the attempt as
+    ``"corrupted"`` -- it still runs to completion, verification
+    rejects it at the end -- and marks the next dispatch a recompute.
+
+    ``state`` is the engine's per-shard record; its ``flip_cursor``,
+    ``last_corrupted`` and ``failures`` are read (the first two also
+    updated).  Fault-log entries go to ``log`` in event order: ECC
+    verdicts first, then the ``"recompute"`` entry.  Returns
+    ``(multiplier, outcome, occupied_s, corrupted, recompute)``, where
+    ``occupied_s`` is the time the device is busy: the full stretched
+    service unless the attempt was cut short.
+    """
+    multiplier = injector.multiplier(shard_id, now)
+    service = base_s * multiplier
+    outcome = OUTCOME_OK
+    fail_at = math.inf
+    if retry.timeout_s < service:
+        fail_at = now + retry.timeout_s
+        outcome = OUTCOME_TIMEOUT
+    next_outage = injector.next_outage_start(shard_id, now)
+    if next_outage < min(now + service, fail_at):
+        fail_at = next_outage
+        outcome = OUTCOME_INTERRUPTED
+    corrupted = recompute = False
+    if outcome == OUTCOME_OK and injector.has_bit_flips(shard_id):
+        flips = injector.transient_flips(shard_id)
+        cursor = state.flip_cursor
+        while cursor < len(flips) and flips[cursor].t_s < now + service:
+            cursor += 1
+        consumed = flips[state.flip_cursor:cursor]
+        stuck = injector.stuck_active(shard_id, now + service)
+        state.flip_cursor = cursor
+        detected = False
+        if ecc is None:
+            corrupted = bool(consumed) or bool(stuck)
+        elif consumed or stuck:
+            corrupted, detected, ecc_kinds = ecc.judge(consumed, stuck)
+            for ecc_kind in ecc_kinds:
+                log(FaultLogEntry(kind=ecc_kind, shard_id=shard_id,
+                                  t_s=now, attempt=state.failures))
+        if corrupted and (protected or detected):
+            outcome = OUTCOME_CORRUPTED
+        if state.last_corrupted:
+            state.last_corrupted = False
+            recompute = True
+            log(FaultLogEntry(kind="recompute", shard_id=shard_id, t_s=now,
+                              duration_s=service, attempt=state.failures))
+    occupied = service if outcome in (OUTCOME_OK, OUTCOME_CORRUPTED) \
+        else fail_at - now
+    return multiplier, outcome, occupied, corrupted, recompute
+
+
+def charge_failure(retry: RetryPolicy, state: Any, shard_id: int,
+                   outcome: str, dispatch_s: float, occupied_s: float,
+                   now: float, log: Callable[[FaultLogEntry], None]
+                   ) -> bool:
+    """Book one failed attempt completing at ``now``; ``True`` = dead.
+
+    Counts the consecutive failure on ``state.failures``, remembers
+    whether it was a detected corruption (the next dispatch is then a
+    recompute) and logs the failure.  Once the failures exceed
+    ``retry.max_retries`` the caller must declare the shard dead;
+    otherwise the shard is gated behind its capped exponential backoff
+    (``state.blocked_until``) and the backoff is logged.  Re-enqueueing
+    the attempt's requests is the caller's business.
+    """
+    state.failures += 1
+    state.last_corrupted = outcome == OUTCOME_CORRUPTED
+    log(FaultLogEntry(kind=outcome, shard_id=shard_id, t_s=dispatch_s,
+                      duration_s=occupied_s, attempt=state.failures))
+    if state.failures > retry.max_retries:
+        return True
+    backoff = retry.backoff_s(state.failures)
+    state.blocked_until = now + backoff
+    log(FaultLogEntry(kind="backoff", shard_id=shard_id, t_s=now,
+                      duration_s=backoff, attempt=state.failures))
+    return False
+
+
 class DiscreteEventScheduler:
     """Simulate scatter-gather serving over ``n_shards`` devices.
 
@@ -462,79 +566,19 @@ class DiscreteEventScheduler:
             head_enqueue = state.queue[0][1]
             taken = [state.queue.popleft() for _ in range(take)]
             ids = tuple(req_id for req_id, _ in taken)
-            recompute = False
             base = float(self.service_time(shard_id, take))
             if not np.isfinite(base) or base <= 0:
                 raise ValueError(
                     f"service_time must be positive and finite, got "
                     f"{base!r} for shard {shard_id} batch {take}")
             if self.injector is None:
-                service = base
-                multiplier = 1.0
-                outcome = OUTCOME_OK
-                occupied = service
-                corrupted = False
+                multiplier, outcome, occupied = 1.0, OUTCOME_OK, base
+                corrupted = recompute = False
             else:
-                multiplier = self.injector.multiplier(shard_id, now)
-                service = base * multiplier
-                outcome = OUTCOME_OK
-                fail_at = math.inf
-                if self.retry.timeout_s < service:
-                    fail_at = now + self.retry.timeout_s
-                    outcome = OUTCOME_TIMEOUT
-                next_outage = self.injector.next_outage_start(shard_id, now)
-                if next_outage < min(now + service, fail_at):
-                    fail_at = next_outage
-                    outcome = OUTCOME_INTERRUPTED
-                corrupted = False
-                if outcome == OUTCOME_OK \
-                        and self.injector.has_bit_flips(shard_id):
-                    # An attempt that completes computes on whatever the
-                    # memory held: the first batch to finish after a
-                    # transient flip lands consumes the corrupted data
-                    # (even if the flip struck while the device idled),
-                    # and any stuck-at cell active by completion
-                    # corrupts every attempt.
-                    flips = self.injector.transient_flips(shard_id)
-                    cursor = state.flip_cursor
-                    while cursor < len(flips) \
-                            and flips[cursor].t_s < now + service:
-                        cursor += 1
-                    consumed = flips[state.flip_cursor:cursor]
-                    stuck = self.injector.stuck_active(shard_id,
-                                                       now + service)
-                    state.flip_cursor = cursor
-                    detected = False
-                    if self.ecc is None:
-                        corrupted = bool(consumed) or bool(stuck)
-                    elif consumed or stuck:
-                        # ECC sits between the memory and the batch:
-                        # corrected codewords leave the data clean, a
-                        # decoder-flagged uncorrectable fails the
-                        # attempt even without ABFT, and a silent
-                        # miscorrection rides the sdc path unless
-                        # ABFT is also on.
-                        corrupted, detected, ecc_kinds = \
-                            self.ecc.judge(consumed, stuck)
-                        for ecc_kind in ecc_kinds:
-                            fault_log.append(FaultLogEntry(
-                                kind=ecc_kind, shard_id=shard_id,
-                                t_s=now, attempt=state.failures))
-                    if corrupted and (self.protected or detected):
-                        outcome = OUTCOME_CORRUPTED
-                    if state.last_corrupted:
-                        # This dispatch re-runs work a verification
-                        # rejected: the recompute leg of detect/heal.
-                        state.last_corrupted = False
-                        recompute = True
-                        fault_log.append(FaultLogEntry(
-                            kind="recompute", shard_id=shard_id, t_s=now,
-                            duration_s=service, attempt=state.failures))
-                # A corrupted attempt still runs to completion -- the
-                # verification that rejects it happens at the end.
-                occupied = service \
-                    if outcome in (OUTCOME_OK, OUTCOME_CORRUPTED) \
-                    else fail_at - now
+                multiplier, outcome, occupied, corrupted, recompute = \
+                    judge_attempt(self.injector, self.retry, self.ecc,
+                                  self.protected, state, shard_id, now,
+                                  base, fault_log.append)
             batch = ExecutedBatch(
                 shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
                 service_s=occupied, request_ids=ids,
@@ -580,24 +624,15 @@ class DiscreteEventScheduler:
             state = shards[batch.shard_id]
             state.busy = False
             state.busy_s += batch.service_s  # wasted work still occupies
-            state.failures += 1
-            state.last_corrupted = batch.outcome == OUTCOME_CORRUPTED
-            fault_log.append(FaultLogEntry(
-                kind=batch.outcome, shard_id=batch.shard_id,
-                t_s=batch.dispatch_s, duration_s=batch.service_s,
-                attempt=state.failures))
             # FIFO-preserving re-enqueue at the queue head.
             taken = pending_retry.pop((batch.shard_id, batch.seq))
             for pair in reversed(taken):
                 state.queue.appendleft(pair)
-            if state.failures > self.retry.max_retries:
+            if charge_failure(self.retry, state, batch.shard_id,
+                              batch.outcome, batch.dispatch_s,
+                              batch.service_s, now, fault_log.append):
                 declare_dead(batch.shard_id, now)
                 return
-            backoff = self.retry.backoff_s(state.failures)
-            state.blocked_until = now + backoff
-            fault_log.append(FaultLogEntry(
-                kind="backoff", shard_id=batch.shard_id, t_s=now,
-                duration_s=backoff, attempt=state.failures))
             maybe_dispatch(batch.shard_id, now)
 
         while heap:

@@ -2,10 +2,12 @@
 
 :class:`ServingSimulator` runs a request stream against ``N`` simulated
 APU shard devices.  Per-shard batch service times come from the
-:class:`repro.rag.batching.BatchedAPURetrieval` cost model, *anchored*
-so that a batch of one costs exactly the single-device Table 8 latency
-(``APURetriever.latency_breakdown(...).total``) and each extra query in
-a batch adds the model's amortized per-query increment.  Completed
+:class:`~repro.serve.costs.SliceCostModel` of each shard's corpus
+slice, *anchored* so that a batch of one costs exactly the
+single-device Table 8 latency (``APURetriever.latency_breakdown(...)
+.total``) and each extra query in a batch adds the
+:class:`repro.rag.batching.BatchedAPURetrieval` amortized per-query
+increment.  Completed
 requests pay the host top-k merge plus the generator prefill, giving a
 **time-to-interactive** distribution; with one shard and batches of one
 the simulated TTI is cycle-identical to
@@ -18,7 +20,7 @@ scripted chaos experiment: the scheduler gets a
 declared dead the simulator applies its **failover policy**:
 
 * ``"reroute"`` -- survivors take over the dead shard's chunk slice
-  (service times are re-anchored on the enlarged slices), so requests
+  (their batches are priced on the enlarged slices), so requests
   arriving after the death regain full corpus coverage;
 * ``"degraded"`` -- the dead slice is dropped and later requests merge
   partial top-k from the live shards only.
@@ -58,27 +60,26 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.params import APUParams, DEFAULT_PARAMS
-from ..ecc import ECCConfig, ECCCostModel, ECCModel, make_codec
+from ..ecc import ECCConfig, ECCModel
 from ..faults import BitFlipFault, FaultInjector, FaultPlan, OutageFault, \
     StallFault
 from ..integrity.config import IntegrityConfig, get_cost_model
 from ..obs import collector as _trace_collector
 from ..obs.events import LANE_FAULT, LANE_INTEGRITY, LANE_VCU, TraceEvent
-from ..rag.batching import BatchedAPURetrieval
 from ..rag.corpus import CorpusSpec, PAPER_CORPORA
 from ..rag.generation import GenerationModel
-from ..rag.retrieval import APURetriever, RetrievalBreakdown
 from ..simcore.engine import DEFAULT_ENGINE, validate_engine
+from .costs import SliceCostModel
 from .metrics import LatencyStats, slo_attainment, utilization
 from .scheduler import (
     BatchPolicy,
     DiscreteEventScheduler,
+    ExecutedBatch,
     RequestRecord,
     RetryPolicy,
     ScheduleResult,
 )
-from .sharding import merge_cycles, merge_seconds, shard_chunk_counts, \
-    shard_specs
+from .sharding import merge_cycles, merge_seconds, shard_chunk_counts
 from .workload import Request, poisson_arrivals
 
 __all__ = [
@@ -87,6 +88,7 @@ __all__ = [
     "ShardServiceModel",
     "ServeReport",
     "ServingSimulator",
+    "emit_batch_trace",
     "emit_fault_trace",
     "emit_integrity_trace",
     "golden_serve_config",
@@ -174,34 +176,22 @@ class ServeConfig:
 
 
 class ShardServiceModel:
-    """Per-shard dynamic-batch service times, anchored at Table 8.
+    """Static placement of the corpus over ``n_shards`` devices.
 
-    ``batch_seconds(shard, 1)`` is exactly the single-device latency of
-    that shard's corpus slice; each additional query adds the
-    ``BatchedAPURetrieval`` amortized per-query increment (query
-    staging + MAC chain + top-k + return, the embedding stream shared).
+    Each shard holds a balanced slice of the corpus and every batch is
+    priced by the shared :class:`~repro.serve.costs.SliceCostModel`
+    (:attr:`costs`) on that shard's slice: ``batch_seconds(shard, 1)``
+    is exactly the single-device Table 8 latency of the slice, with the
+    ABFT, scrub and ECC taxes on top when configured.
 
-    The model is mutable under failover: :meth:`apply_takeover`
-    redistributes a dead shard's chunks over the survivors and
-    re-anchors their service times on the enlarged slices, and
+    The placement is mutable under failover: :meth:`apply_takeover`
+    redistributes a dead shard's chunks over the survivors (so their
+    batches cost what scanning the enlarged slices costs), and
     :meth:`reset` restores the original placement (so one simulator can
-    replay runs).
-
-    An enabled ``integrity`` config adds the protection overhead on top
-    of the anchored times: each query in a batch pays the calibrated
-    column-checksum verification for its shard's MAC blocks plus the
-    top-k result check, and an active scrub schedule stretches service
-    by its duty factor (the device spends that fraction of its time
-    re-checksumming resident vectors instead of serving).
-
-    An enabled ``ecc`` config charges the code-based protection tax:
-    every protected byte inflates by the codec's ``n/k`` check-bit
-    overhead (applied to the shard corpus footprint at anchor time, so
-    the HBM embedding stream and the per-batch DMA both pay it -- and a
-    takeover re-anchor keeps paying it on the enlarged slice), and each
-    query pays the memory-interface encode of its staged vector plus
-    the decode of its top-k readout.  The in-SRAM scan itself reads raw
-    bits; only traffic crossing the memory interface is coded.
+    replay runs).  :attr:`chunk_counts` is what each shard serves now (a
+    dead shard serves nothing); :attr:`resident_counts` is the slice
+    each device last held -- a dead shard keeps its last slice, and the
+    trace and monitor bytes of every shard come from it.
     """
 
     def __init__(self, spec: CorpusSpec, n_shards: int, k: int = 5,
@@ -210,210 +200,49 @@ class ShardServiceModel:
                  ecc: Optional[ECCConfig] = None):
         self.spec = spec
         self.n_shards = n_shards
-        self.k = k
-        self.params = params
-        self.integrity = integrity if integrity is not None \
-            else IntegrityConfig()
-        self.ecc = ecc if ecc is not None else ECCConfig()
-        self._costs = get_cost_model(params) if self.integrity.enabled \
-            else None
-        self._ecc_costs = (ECCCostModel(make_codec(self.ecc),
-                                        params.clock_hz)
-                          if self.ecc.enabled else None)
-        self._retriever = APURetriever(optimized=True, params=params)
-        self._batched = BatchedAPURetrieval(params)
-        self.shard_specs = shard_specs(spec, n_shards)
-        self.chunk_counts: List[int] = shard_chunk_counts(
-            spec.n_chunks, n_shards)
-        self._single: List[float] = []
-        self._increment: List[float] = []
-        self._breakdowns: List[RetrievalBreakdown] = []
-        #: Bumped on every re-anchor; (shard, batch_size, epoch) is a
-        #: sound memoization key for :meth:`stage_seconds`.
-        self.stage_epoch = 0
-        # Calibration replays the closed-form breakdowns; those are not
-        # part of the simulated serving timeline, so keep their HBM/DMA
-        # events out of any active trace collector.
-        previous = _trace_collector.set_collector(None)
-        try:
-            for shard_spec in self.shard_specs:
-                if shard_spec.n_chunks == 0:
-                    raise ValueError(
-                        f"shard {shard_spec.label} is empty; "
-                        f"use fewer shards")
-                single, increment, breakdown = self._anchor(shard_spec)
-                self._single.append(single)
-                self._increment.append(increment)
-                self._breakdowns.append(breakdown)
-        finally:
-            _trace_collector.set_collector(previous)
-        self._orig = (tuple(self.shard_specs), tuple(self.chunk_counts),
-                      tuple(self._single), tuple(self._increment),
-                      tuple(self._breakdowns))
-
-    def _anchor(self, shard_spec: CorpusSpec
-                ) -> Tuple[float, float, RetrievalBreakdown]:
-        """(single-query latency, per-query increment, stage breakdown).
-
-        With ECC enabled the anchor runs against a check-bit-inflated
-        spec: every resident embedding byte and every corpus byte grows
-        by the codec's ``n/k``, so the warm-up stream, per-batch DMA,
-        and effective capacity all carry the storage tax.  Living here
-        (rather than in ``__init__``) means :meth:`apply_takeover`
-        re-anchors keep the inflation on the enlarged slices.
-        """
-        if self._ecc_costs is not None:
-            factor = self._ecc_costs.storage_factor
-            shard_spec = CorpusSpec(
-                label=f"{shard_spec.label}+ecc",
-                corpus_bytes=shard_spec.corpus_bytes * factor,
-                n_chunks=shard_spec.n_chunks,
-                dim=shard_spec.dim,
-                bytes_per_value=shard_spec.bytes_per_value,
-            )
-        breakdown = self._retriever.latency_breakdown(shard_spec, self.k)
-        pair = [self._batched.batch_latency(shard_spec, b, self.k)
-                .batch_seconds for b in (1, 2)]
-        return breakdown.total, pair[1] - pair[0], breakdown
+        self.costs = SliceCostModel(spec, k, params, integrity, ecc)
+        self._base = tuple(shard_chunk_counts(spec.n_chunks, n_shards))
+        if min(self._base) == 0:
+            raise ValueError(
+                f"{n_shards} shards for {spec.n_chunks} chunks would "
+                f"leave shard {self._base.index(0)} empty; use fewer shards")
+        for count in set(self._base):
+            # Calibrate up front, outside any simulated run.
+            self.costs.service_seconds(count, 1)
+        self.reset()
 
     def batch_seconds(self, shard_id: int, batch_size: int) -> float:
         """Service time of one batch on one shard's device."""
-        base = (self._single[shard_id]
-                + (batch_size - 1) * self._increment[shard_id])
-        if self._ecc_costs is not None:
-            base += self.ecc_seconds(batch_size)
-        if self._costs is None:
-            return base
-        base += batch_size * self.verify_seconds(self.chunk_counts[shard_id])
-        return base * self.scrub_duty_factor
-
-    def ecc_seconds(self, batch_size: int) -> float:
-        """Per-batch ECC codec time at the memory interface.
-
-        Each query pays the encode of its staged embedding (written
-        into protected VRs) plus the decode/correction pass over its
-        4-byte-per-entry top-k readout.  The resident corpus stream is
-        *not* re-decoded per scan -- the in-SRAM compute reads raw
-        bits; its protection cost is the storage inflation charged at
-        anchor time.
-        """
-        if self._ecc_costs is None:
-            return 0.0
-        query_bytes = float(self.spec.dim * self.spec.bytes_per_value)
-        topk_bytes = 4.0 * self.k
-        per_query = (self._ecc_costs.encode_seconds(query_bytes)
-                     + self._ecc_costs.decode_seconds(topk_bytes))
-        return batch_size * per_query
-
-    def verify_seconds(self, chunk_count: int) -> float:
-        """Per-query ABFT verification cost over a ``chunk_count`` slice.
-
-        One column-checksum check per resident MAC block (a block spans
-        ``vr_length`` chunks on each of the cores) plus the top-k result
-        comparison, all from the calibrated cost model.
-        """
-        if self._costs is None:
-            return 0.0
-        per_core = self.params.vr_length * self.params.num_cores
-        blocks = -(-max(1, chunk_count) // per_core)
-        topk_check = self._costs.crc_cycles(4 * self.k) / self.params.clock_hz
-        return blocks * self._costs.checksum_seconds() + topk_check
-
-    @property
-    def scrub_duty_factor(self) -> float:
-        """Service-time stretch from the background scrub schedule."""
-        if self._costs is None or not self.integrity.scrubbing:
-            return 1.0
-        scrub = self._costs.scrub_pass_seconds(self.integrity.scrub_vrs)
-        return 1.0 + scrub / self.integrity.scrub_interval_s
+        return self.costs.service_seconds(self.resident_counts[shard_id],
+                                          batch_size)
 
     def stage_seconds(self, shard_id: int, batch_size: int
                       ) -> Tuple[Tuple[str, float], ...]:
-        """Decompose one batch's service time into Table 8 stages.
-
-        The anchored single-query breakdown sets the stage *fractions*
-        and the anchored batch time sets the total: ``dma`` (embedding +
-        query staging), ``mac``, and ``topk`` scale by their share of
-        the single-query latency, ``return`` takes the remainder of the
-        un-protected base, then the protection taxes land explicitly as
-        ``ecc`` (per-query codec time at the memory interface),
-        ``checksum`` (per-query ABFT verification) and ``scrub`` (duty-
-        cycle stretch).  Reflects the model state *now* -- call at
-        dispatch time so takeover re-anchors mid-run are honored.
-        """
-        breakdown = self._breakdowns[shard_id]
-        base = (self._single[shard_id]
-                + (batch_size - 1) * self._increment[shard_id])
-        scale = base / breakdown.total
-        dma = (breakdown.load_embedding + breakdown.load_query) * scale
-        mac = breakdown.calc_distance * scale
-        topk = breakdown.topk_aggregation * scale
-        ret = base - ((dma + mac) + topk)
-        stages = [("dma", dma), ("mac", mac), ("topk", topk),
-                  ("return", ret)]
-        if self._ecc_costs is not None:
-            stages.append(("ecc", self.ecc_seconds(batch_size)))
-        if self._costs is not None:
-            checksum = batch_size * self.verify_seconds(
-                self.chunk_counts[shard_id])
-            stages.append(("checksum", checksum))
-            folded = 0.0
-            for _, seconds in stages:
-                folded += seconds
-            scrub = self.batch_seconds(shard_id, batch_size) - folded
-            if scrub > 0:
-                stages.append(("scrub", scrub))
-        return tuple(stages)
+        """Table 8 stage decomposition of one batch on one shard, on the
+        placement *now* (call at dispatch time so takeovers mid-run are
+        honored)."""
+        return self.costs.stage_seconds(self.resident_counts[shard_id],
+                                        batch_size)
 
     def reset(self) -> None:
         """Undo every takeover (back to the calibrated placement)."""
-        specs, counts, single, increment, breakdowns = self._orig
-        self.shard_specs = list(specs)
-        self.chunk_counts = list(counts)
-        self._single = list(single)
-        self._increment = list(increment)
-        self._breakdowns = list(breakdowns)
-        self.stage_epoch += 1
+        self.chunk_counts: List[int] = list(self._base)
+        self.resident_counts: List[int] = list(self._base)
 
     def apply_takeover(self, dead_id: int, live_ids: Sequence[int]) -> None:
         """Redistribute ``dead_id``'s chunks over ``live_ids``.
 
         The orphaned slice splits as evenly as chunks allow (earlier
-        survivors take the remainder); each survivor's service times are
-        re-anchored on its enlarged corpus slice, so post-failover
-        batches cost what scanning the larger slice costs.
+        survivors take the remainder), one death at a time.
         """
         if not live_ids:
             raise ValueError("takeover needs at least one live shard")
         orphaned = self.chunk_counts[dead_id]
         self.chunk_counts[dead_id] = 0
-        if orphaned == 0:
-            return
         extra = shard_chunk_counts(orphaned, len(live_ids))
-        previous = _trace_collector.set_collector(None)
-        try:
-            for live_id, gained in zip(live_ids, extra):
-                if gained == 0:
-                    continue
-                count = self.chunk_counts[live_id] + gained
-                self.chunk_counts[live_id] = count
-                enlarged = CorpusSpec(
-                    label=f"{self.spec.label}/shard{live_id}"
-                          f"+takeover{dead_id}",
-                    corpus_bytes=self.spec.corpus_bytes * count
-                    / max(1, self.spec.n_chunks),
-                    n_chunks=count,
-                    dim=self.spec.dim,
-                    bytes_per_value=self.spec.bytes_per_value,
-                )
-                self.shard_specs[live_id] = enlarged
-                single, increment, breakdown = self._anchor(enlarged)
-                self._single[live_id] = single
-                self._increment[live_id] = increment
-                self._breakdowns[live_id] = breakdown
-                self.stage_epoch += 1
-        finally:
-            _trace_collector.set_collector(previous)
+        for live_id, gained in zip(live_ids, extra):
+            self.chunk_counts[live_id] += gained
+            self.resident_counts[live_id] = self.chunk_counts[live_id]
 
 
 @dataclass(frozen=True)
@@ -657,9 +486,7 @@ class ServingSimulator:
         report, telemetry = self.run_with_telemetry(requests)
         result = self._last_result
         assert result is not None
-        batch_bytes = [
-            int(self.service_model.shard_specs[b.shard_id].embedding_bytes)
-            for b in result.batches]
+        batch_bytes = self._batch_bytes(result)
         # Bitwise the report's TTI arithmetic: retrieval latency plus
         # merge, plus prefill.
         tti_by_req = {
@@ -716,14 +543,14 @@ class ServingSimulator:
             return report, result, list(self.scheduler.captured_tables)
 
         orig = self.scheduler.service_time
-        # Stage decompositions only change when a takeover re-anchors a
-        # shard (tracked by stage_epoch), so memoizing keeps the
-        # in-loop collection cost to a dict probe per dispatch.
+        # Stage decompositions only change when a takeover enlarges a
+        # shard's slice, so memoizing keeps the in-loop collection cost
+        # to a dict probe per dispatch.
         memo: Dict[Tuple[int, int, int], StageTable] = {}
 
         def recording_service_time(shard_id: int, batch_size: int) -> float:
             seconds = orig(shard_id, batch_size)
-            key = (shard_id, batch_size, model.stage_epoch)
+            key = (shard_id, batch_size, model.resident_counts[shard_id])
             table = memo.get(key)
             if table is None:
                 table = memo[key] = StageTable(
@@ -801,31 +628,21 @@ class ServingSimulator:
         return report, result
 
     # ------------------------------------------------------------------
+    def _batch_bytes(self, result: ScheduleResult) -> List[int]:
+        """Per-batch embedding bytes of the device's resident slice."""
+        model = self.service_model
+        shard_bytes = [model.costs.embedding_bytes(count)
+                       for count in model.resident_counts]
+        return [shard_bytes[b.shard_id] for b in result.batches]
+
     def _emit_trace(self, result: ScheduleResult) -> None:
         """Shard-tagged trace events (one Perfetto lane per device)."""
         trace = _trace_collector.ACTIVE
         if trace is None or not trace.enabled:
             return
         clock = self.params.clock_hz
-        for batch in result.batches:
-            shard_bytes = int(
-                self.service_model.shard_specs[batch.shard_id].embedding_bytes)
-            wait = batch.dispatch_s - batch.head_enqueue_s
-            if wait > 0:
-                trace.emit(TraceEvent(
-                    name="serve_queue_wait", lane=LANE_VCU,
-                    start_cycle=batch.head_enqueue_s * clock,
-                    cycles=wait * clock,
-                    section=f"serve/shard{batch.shard_id}",
-                    core_id=batch.shard_id))
-            trace.emit(TraceEvent(
-                name="serve_batch", lane=LANE_VCU,
-                start_cycle=batch.dispatch_s * clock,
-                cycles=batch.service_s * clock,
-                count=1,
-                section=f"serve/shard{batch.shard_id}",
-                bytes_moved=shard_bytes,
-                core_id=batch.shard_id))
+        emit_batch_trace(trace, result.batches, self._batch_bytes(result),
+                         clock)
         cycles_per_merge = merge_cycles(self.config.n_shards, self.config.k,
                                         self.params)
         if cycles_per_merge > 0:
@@ -839,15 +656,36 @@ class ServingSimulator:
                     section="serve/merge",
                     core_id=self.config.n_shards))
         if self.injector is not None:
-            self._emit_fault_trace(trace, result, clock)
+            emit_fault_trace(trace, result, clock, self.config.faults)
+            emit_integrity_trace(trace, result, clock, self.config.faults,
+                                 self.config.integrity, self.params,
+                                 self.config.n_shards)
 
-    def _emit_fault_trace(self, trace, result: ScheduleResult,
-                          clock: float) -> None:
-        """FAULT-lane events: the script plus the stack's reactions."""
-        emit_fault_trace(trace, result, clock, self.config.faults)
-        emit_integrity_trace(trace, result, clock, self.config.faults,
-                             self.config.integrity, self.params,
-                             self.config.n_shards)
+
+def emit_batch_trace(trace, batches: Sequence[ExecutedBatch],
+                     batch_bytes: Sequence[int], clock: float) -> None:
+    """Serve-lane queue-wait and batch events (one lane per device).
+
+    Shared between the static and elastic simulators; ``batch_bytes``
+    holds each batch's resident slice bytes, in batch order.
+    """
+    for batch, nbytes in zip(batches, batch_bytes):
+        wait = batch.dispatch_s - batch.head_enqueue_s
+        if wait > 0:
+            trace.emit(TraceEvent(
+                name="serve_queue_wait", lane=LANE_VCU,
+                start_cycle=batch.head_enqueue_s * clock,
+                cycles=wait * clock,
+                section=f"serve/shard{batch.shard_id}",
+                core_id=batch.shard_id))
+        trace.emit(TraceEvent(
+            name="serve_batch", lane=LANE_VCU,
+            start_cycle=batch.dispatch_s * clock,
+            cycles=batch.service_s * clock,
+            count=1,
+            section=f"serve/shard{batch.shard_id}",
+            bytes_moved=nbytes,
+            core_id=batch.shard_id))
 
 
 def emit_fault_trace(trace, result: ScheduleResult, clock: float,

@@ -50,23 +50,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
-    Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, \
+    Sequence, Set, Tuple
 
 import numpy as np
 
 from ..ecc import ECCModel
 from ..faults import FaultInjector, FaultLogEntry
 from ..serve.scheduler import (
-    OUTCOME_CORRUPTED,
-    OUTCOME_INTERRUPTED,
     OUTCOME_OK,
-    OUTCOME_TIMEOUT,
     BatchPolicy,
+    DiscreteEventScheduler,
     ExecutedBatch,
     RequestRecord,
     RetryPolicy,
     ScheduleResult,
+    charge_failure,
+    judge_attempt,
 )
 from ..serve.workload import Request
 from .arrays import ArraySchedule
@@ -483,53 +483,11 @@ class _FaultScan:
         head_enqueue = taken[0][1]
         st.retry = st.retry[k_r:]
         st.i += k_a
-        base = self.svc(size)
-        inj = self.injector
-        multiplier = inj.multiplier(self.shard, now)
-        service = base * multiplier
-        outcome = OUTCOME_OK
-        fail_at = math.inf
-        if self.retry_policy.timeout_s < service:
-            fail_at = now + self.retry_policy.timeout_s
-            outcome = OUTCOME_TIMEOUT
-        next_outage = inj.next_outage_start(self.shard, now)
-        if next_outage < min(now + service, fail_at):
-            fail_at = next_outage
-            outcome = OUTCOME_INTERRUPTED
-        corrupted = False
-        recompute = False
-        if outcome == OUTCOME_OK and inj.has_bit_flips(self.shard):
-            flips = inj.transient_flips(self.shard)
-            cursor = st.flip_cursor
-            while cursor < len(flips) and flips[cursor].t_s < now + service:
-                cursor += 1
-            consumed_flips = flips[st.flip_cursor:cursor]
-            stuck = inj.stuck_active(self.shard, now + service)
-            st.flip_cursor = cursor
-            detected = False
-            if self.ecc is None:
-                corrupted = bool(consumed_flips) or bool(stuck)
-            elif consumed_flips or stuck:
-                # Mirrors the scalar scheduler's ECC classification:
-                # corrected windows stay clean, decoder-flagged
-                # uncorrectables fail even unprotected, miscorrections
-                # ride the sdc path unless ABFT is also on.
-                corrupted, detected, ecc_kinds = \
-                    self.ecc.judge(consumed_flips, stuck)
-                for ecc_kind in ecc_kinds:
-                    self._log(st, out, trig, FaultLogEntry(
-                        kind=ecc_kind, shard_id=self.shard,
-                        t_s=now, attempt=st.failures))
-            if corrupted and (self.protected or detected):
-                outcome = OUTCOME_CORRUPTED
-            if st.last_corrupted:
-                st.last_corrupted = False
-                recompute = True
-                self._log(st, out, trig, FaultLogEntry(
-                    kind="recompute", shard_id=self.shard, t_s=now,
-                    duration_s=service, attempt=st.failures))
-        occupied = service if outcome in (OUTCOME_OK, OUTCOME_CORRUPTED) \
-            else fail_at - now
+        multiplier, outcome, occupied, corrupted, recompute = \
+            judge_attempt(self.injector, self.retry_policy, self.ecc,
+                          self.protected, st, self.shard, now,
+                          self.svc(size),
+                          lambda entry: self._log(st, out, trig, entry))
         st.busy = _InFlight(
             dispatch_s=now, occupied_s=occupied, outcome=outcome,
             corrupted=corrupted, recompute=recompute,
@@ -579,22 +537,12 @@ class _FaultScan:
                 if batch.corrupted:
                     out.corrupt.append(idx)
             return
-        st.failures += 1
-        st.last_corrupted = batch.outcome == OUTCOME_CORRUPTED
-        self._log(st, out, trig, FaultLogEntry(
-            kind=batch.outcome, shard_id=self.shard,
-            t_s=batch.dispatch_s, duration_s=batch.occupied_s,
-            attempt=st.failures))
         st.retry = list(batch.taken) + st.retry
-        if st.failures > self.retry_policy.max_retries:
+        if charge_failure(self.retry_policy, st, self.shard, batch.outcome,
+                          batch.dispatch_s, batch.occupied_s, now,
+                          lambda entry: self._log(st, out, trig, entry)):
             self._die(st, out, now, trig,
                       max(st.i, _searchsorted(self.arrivals, now, "right")))
-            return
-        backoff = self.retry_policy.backoff_s(st.failures)
-        st.blocked_until = now + backoff
-        self._log(st, out, trig, FaultLogEntry(
-            kind="backoff", shard_id=self.shard, t_s=now,
-            duration_s=backoff, attempt=st.failures))
 
     # -- driver ----------------------------------------------------------
     def advance(self, st: _ShardState, out: _ShardOutput,
@@ -635,13 +583,14 @@ class _FaultScan:
 # ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
-class VectorizedScheduler:
+class VectorizedScheduler(DiscreteEventScheduler):
     """Drop-in vectorized replacement for ``DiscreteEventScheduler``.
 
-    Same constructor, same :meth:`run` contract, bit-identical
-    :class:`~repro.serve.scheduler.ScheduleResult` (the differential
-    suite in ``tests/simcore`` is the proof); plus :meth:`run_arrays`,
-    the allocation-free columnar path for million-query fault-free runs.
+    The inherited constructor, the same :meth:`run` contract,
+    bit-identical :class:`~repro.serve.scheduler.ScheduleResult` (the
+    differential suite in ``tests/simcore`` is the proof); plus
+    :meth:`run_arrays`, the allocation-free columnar path for
+    million-query fault-free runs.
 
     ``capture`` (an optional ``(shard_id, batch_size) -> table`` hook
     with per-epoch memoization semantics) replaces the scalar path's
@@ -649,29 +598,8 @@ class VectorizedScheduler:
     land in :attr:`captured_tables` in global batch order.
     """
 
-    def __init__(self, n_shards: int, policy: BatchPolicy,
-                 service_time: Callable[[int, int], float],
-                 injector: Optional[FaultInjector] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 on_death: Optional[Callable[[int, float], None]] = None,
-                 protected: bool = False,
-                 ecc: Optional[ECCModel] = None):
-        if not isinstance(n_shards, (int, np.integer)) \
-                or isinstance(n_shards, bool) or n_shards < 1:
-            raise ValueError(
-                f"shards must be an integer >= 1, got {n_shards!r}")
-        self.n_shards = int(n_shards)
-        self.policy = policy
-        self.service_time = service_time
-        self.injector = injector
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.on_death = on_death
-        self.protected = bool(protected)
-        self.ecc = ecc
-        if injector is not None and injector.n_shards != self.n_shards:
-            raise ValueError(
-                f"injector covers {injector.n_shards} shard(s), "
-                f"scheduler has {self.n_shards}")
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
         #: Set before run() to capture one stage table per batch.
         self.capture: Optional[CaptureFn] = None
         #: Tables captured by the last run, in global batch order.

@@ -24,7 +24,8 @@ proves it event by event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, \
+    Union
 
 from .critical import CriticalPath, critical_path, stage_attribution
 from .metrics import (
@@ -155,15 +156,26 @@ def _shard_chain(record: Any, shard_id: int,
     return shard_span
 
 
-def build_query_traces(result: Any, merge_s: float, prefill_s: float,
+def build_query_traces(result: Any,
+                       merge_s: Union[float, Mapping[int, float]],
+                       prefill_s: float,
                        stage_tables: Optional[Sequence[StageTable]] = None,
                        ) -> List[QueryTrace]:
     """One :class:`QueryTrace` per completed request, in req-id order.
 
-    ``stage_tables`` is the dispatch-ordered capture from
-    ``ServingSimulator.run_with_telemetry`` (one entry per executed
-    batch); omitted, batch spans stay leaves.
+    ``merge_s`` is the host top-k merge cost: one number when every
+    request fans out to the same shards, or a map from a record's
+    scatter-gather width (``n_required``) to its merge cost when the
+    width varies per request (elastic pools).  ``stage_tables`` is the
+    dispatch-ordered capture from ``run_with_telemetry`` (one entry per
+    executed batch); omitted, batch spans stay leaves.
     """
+    merge_by_width: Optional[Mapping[int, float]] = None
+    fixed_merge = 0.0
+    if isinstance(merge_s, Mapping):
+        merge_by_width = merge_s
+    else:
+        fixed_merge = merge_s
     tables: Dict[Tuple[int, int], StageTable] = {}
     if stage_tables is not None:
         if len(stage_tables) != len(result.batches):
@@ -190,7 +202,9 @@ def build_query_traces(result: Any, merge_s: float, prefill_s: float,
         done = record.retrieval_done_s
         if done is None:  # pragma: no cover - scheduler invariant
             raise ValueError(f"request {record.req_id} never resolved")
-        tti_end = (done + merge_s) + prefill_s
+        merge = fixed_merge if merge_by_width is None \
+            else merge_by_width[record.n_required]
+        tti_end = (done + merge) + prefill_s
         root = Span(name=SPAN_QUERY, start_s=record.arrival_s,
                     end_s=tti_end,
                     labels={"n_required": str(record.n_required)})
@@ -215,7 +229,7 @@ def build_query_traces(result: Any, merge_s: float, prefill_s: float,
             raise ValueError(
                 f"request {record.req_id}: no shard leg ends at the "
                 f"recorded resolution time {done!r}")
-        merge_end = done + merge_s
+        merge_end = done + merge
         root.children.append(Span(name=SPAN_MERGE, start_s=done,
                                   end_s=merge_end))
         root.children.append(Span(name=SPAN_PREFILL, start_s=merge_end,
@@ -224,7 +238,7 @@ def build_query_traces(result: Any, merge_s: float, prefill_s: float,
             req_id=record.req_id,
             arrival_s=record.arrival_s,
             retrieval_done_s=done,
-            merge_s=merge_s,
+            merge_s=merge,
             prefill_s=prefill_s,
             root=root,
             determining_shard=determining,

@@ -368,12 +368,14 @@ def slo_burn_windows(arrivals_s: Sequence[float],
     """
     if len(arrivals_s) != len(latencies_s):
         raise ValueError("arrival/latency length mismatch")
-    if slo_s <= 0:
-        raise ValueError(f"SLO must be positive, got {slo_s!r}")
+    if not (math.isfinite(slo_s) and slo_s > 0):
+        raise ValueError(
+            f"slo_s (the SLO) must be finite and positive, got {slo_s!r}")
     if n_windows < 1:
         raise ValueError(f"need at least one window, got {n_windows!r}")
-    if horizon_s < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon_s!r}")
+    if not (math.isfinite(horizon_s) and horizon_s >= 0):
+        raise ValueError(
+            f"horizon_s must be finite and >= 0, got {horizon_s!r}")
     if horizon_s == 0:
         windows = [BurnWindow(
             index=0, start_s=0.0, end_s=0.0,

@@ -1,5 +1,7 @@
 """The shared burn signal: one window engine for controller and monitor."""
 
+import math
+
 import pytest
 
 from repro.monitor import BurnSignal
@@ -66,6 +68,14 @@ def test_signal_validation():
         BurnSignal(window_s=1.0, slo_s=0.0)
     with pytest.raises(ValueError):
         BurnSignal(window_s=1.0, slo_s=1.0, n_classes=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_signal_rejects_non_finite_window_and_slo(bad):
+    with pytest.raises(ValueError, match="window_s must be finite"):
+        BurnSignal(window_s=bad, slo_s=1.0)
+    with pytest.raises(ValueError, match="slo_s must be finite"):
+        BurnSignal(window_s=1.0, slo_s=bad)
 
 
 @pytest.mark.monitor

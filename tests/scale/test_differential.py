@@ -12,6 +12,10 @@ Two families of pins:
   whatever the ``engine`` flag says -- every elastic run, including the
   fault/failover and SDC/integrity variants, produces bit-identical
   reports, action logs, trace events, and telemetry under both values.
+* **A fixed elastic pool IS the static scheduler.**  With the pool
+  pinned at the static shard count, shedding off and one priority
+  class, the elastic loop (which autoscaler-off runs never enter)
+  reproduces the static ``ScheduleResult`` exactly.
 """
 
 import dataclasses
@@ -23,14 +27,18 @@ from repro.faults import BitFlipFault, FaultPlan
 from repro.integrity import IntegrityConfig
 from repro.obs import collecting
 from repro.scale import (
+    AdmissionPolicy,
+    AutoscalePolicy,
+    PriorityClass,
     ScaleConfig,
+    ScalePolicy,
     ScaleSimulator,
     golden_autoscale_config,
     golden_autoscale_fault_config,
 )
-from repro.serve import RetryPolicy
-from repro.serve.simulator import ServingSimulator, golden_fault_config, \
-    golden_integrity_config, golden_serve_config
+from repro.serve import RetryPolicy, trace_arrivals
+from repro.serve.simulator import ServingSimulator, golden_ecc_config, \
+    golden_fault_config, golden_integrity_config, golden_serve_config
 from repro.telemetry import render_attribution, render_spans_report
 
 pytestmark = pytest.mark.scale
@@ -159,3 +167,50 @@ def test_elastic_telemetry_engine_invariant(name):
     assert actual.traces == expected.traces
     assert actual.critical_paths == expected.critical_paths
     assert actual.registry.expose() == expected.registry.expose()
+
+
+# ---------------------------------------------------------------------------
+# Fixed-pool elastic loop vs the static scheduler.
+
+def _static_shape(config_fn):
+    """(serve config, explicit arrivals or None) of a golden config."""
+    config = config_fn()
+    if isinstance(config, ScaleConfig):
+        return config.serve, config.arrivals
+    return config, None
+
+
+FIXED_POOL_CONFIGS = {
+    "serve": golden_serve_config,
+    "integrity": golden_integrity_config,
+    "ecc": golden_ecc_config,
+    "autoscale": golden_autoscale_config,
+    "autoscale_fault": golden_autoscale_fault_config,
+    "faults": pytest.param(golden_fault_config, marks=pytest.mark.xfail(
+        strict=True,
+        reason="takeover rules differ after two deaths: static "
+               "sequential reroute leaves the survivors 81921/81919 "
+               "chunks, ElasticAPUDevicePool.counts_for 81920/81920")),
+}
+
+
+@pytest.mark.parametrize("config_fn", list(FIXED_POOL_CONFIGS.values()),
+                         ids=list(FIXED_POOL_CONFIGS))
+def test_fixed_pool_elastic_loop_is_the_static_scheduler(config_fn):
+    serve, arrivals = _static_shape(config_fn)
+    n = serve.n_shards
+    policy = ScalePolicy(
+        autoscale=AutoscalePolicy(min_shards=n, max_shards=n),
+        admission=AdmissionPolicy(shed_queue_batches=1e18),
+        priorities=(PriorityClass(name="all", share=1.0),))
+    elastic = ScaleSimulator(ScaleConfig(serve=serve, policy=policy,
+                                         arrivals=arrivals))
+    elastic.run()
+    actual = elastic._last_run.result
+    requests = None if arrivals is None else trace_arrivals(arrivals)
+    _, expected = ServingSimulator(serve)._simulate(requests)
+    assert actual.batches == expected.batches
+    assert actual.fault_log == expected.fault_log
+    assert [(r.req_id, r.retrieval_done_s) for r in actual.records] \
+        == [(r.req_id, r.retrieval_done_s) for r in expected.records]
+    assert actual == expected

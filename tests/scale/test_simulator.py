@@ -220,7 +220,7 @@ class TestConfigValidation:
         simulator = ScaleSimulator(config)
         assert not simulator.is_static
         assert simulator._pool is not None
-        assert simulator._pool.integrity.enabled
+        assert simulator._pool.costs.integrity.enabled
 
     def test_initial_pool_outside_bounds_rejected(self):
         serve = dataclasses.replace(golden_serve_config(), n_shards=1)
@@ -295,15 +295,15 @@ class TestPoolModel:
     def test_service_time_scales_with_slice_and_batch(self, pool):
         small = pool.counts_for(range(6))[0]
         large = pool.counts_for([0, 1])[0]
-        assert pool.service_seconds(large, 1) \
-            > pool.service_seconds(small, 1)
-        assert pool.service_seconds(small, 8) \
-            > pool.service_seconds(small, 1)
-        stages = pool.stage_seconds(small, 4)
+        assert pool.costs.service_seconds(large, 1) \
+            > pool.costs.service_seconds(small, 1)
+        assert pool.costs.service_seconds(small, 8) \
+            > pool.costs.service_seconds(small, 1)
+        stages = pool.costs.stage_seconds(small, 4)
         assert [name for name, _ in stages] \
             == ["dma", "mac", "topk", "return"]
         assert sum(seconds for _, seconds in stages) \
-            == pytest.approx(pool.service_seconds(small, 4), rel=1e-12)
+            == pytest.approx(pool.costs.service_seconds(small, 4), rel=1e-12)
 
     def test_warmup_is_the_slice_dma_in(self, pool):
         small = pool.counts_for(range(6))[0]
@@ -353,3 +353,8 @@ class TestController:
     def test_slo_must_be_positive(self):
         with pytest.raises(ValueError):
             BurnRateController(AutoscalePolicy(), slo_s=0.0)
+
+    def test_slo_must_be_finite(self):
+        # Checked once, by the BurnSignal the controller builds.
+        with pytest.raises(ValueError, match="slo_s must be finite"):
+            BurnRateController(AutoscalePolicy(), slo_s=float("nan"))

@@ -147,7 +147,7 @@ class TestChargedOverhead:
         for shard in range(4):
             assert checked.batch_seconds(shard, 4) \
                 > plain.batch_seconds(shard, 4)
-        assert checked.verify_seconds(checked.chunk_counts[0]) > 0.0
+        assert checked.costs.verify_seconds(checked.chunk_counts[0]) > 0.0
 
     def test_scrubbing_adds_duty_factor(self):
         spec = PAPER_CORPORA["10GB"]
@@ -156,7 +156,8 @@ class TestChargedOverhead:
         scrubbed = ShardServiceModel(
             spec, n_shards=4,
             integrity=IntegrityConfig(enabled=True, scrub_interval_s=0.05))
-        assert scrubbed.scrub_duty_factor > checked.scrub_duty_factor == 1.0
+        assert scrubbed.costs.scrub_duty_factor \
+            > checked.costs.scrub_duty_factor == 1.0
         assert scrubbed.batch_seconds(0, 1) > checked.batch_seconds(0, 1)
 
     def test_protected_throughput_cost_is_bounded(self):

@@ -181,3 +181,11 @@ class TestBurnWindows:
             slo_burn_windows([0.0], [0.5], 0.0, 1.0)
         with pytest.raises(ValueError, match="window"):
             slo_burn_windows([0.0], [0.5], 1.0, 1.0, n_windows=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_slo_and_horizon(self, bad):
+        with pytest.raises(ValueError, match="slo_s .* must be finite"):
+            slo_burn_windows([0.0], [0.5], bad, 1.0)
+        # A NaN horizon used to die untyped in int(nan).
+        with pytest.raises(ValueError, match="horizon_s must be finite"):
+            slo_burn_windows([0.0], [0.5], 1.0, bad)
