@@ -27,28 +27,26 @@ attached, the run becomes a closed control loop:
   slice (the mirror image of the static simulator's shard-death
   takeover), while new arrivals fan out to the remaining devices.
 
-The event loop is the same ``(time, sequence)``-ordered binary heap as
-the static scheduler, and every random draw (arrival process, priority
-classes, closed-loop think times) comes from seeded generators, so runs
-are bit-deterministic -- including across processes and
-``PYTHONHASHSEED`` values.  The controller's feedback makes the elastic
-path inherently sequential, so every elastic run executes this one
-control loop whatever :attr:`~repro.serve.simulator.ServeConfig.engine`
-says (the flag selects only the static scheduler).  The loop keeps its
-per-event costs flat: open-loop arrivals are pointer-merged against the
-heap instead of heap-pushed, admission runs in bulk while every serving
-device is busy, and the per-tick overdue count comes from the
+The elastic run *is* the static
+:class:`~repro.serve.scheduler.DiscreteEventScheduler` plus hooks: one
+scalar event loop owns the heap, the per-shard state, the records and
+the fault log, and the elastic subclass supplies admission (priority
+and shedding), the per-request completion bookkeeping, the reaction to
+a death, the drain check, and the warm-up, closed-loop issue and
+controller-tick events.  Batches are priced on each slot's slice of the
+current topology by the shared :class:`~repro.serve.costs.SliceCostModel`.
+Every random draw (arrival process, priority classes, closed-loop think
+times) comes from seeded generators, so runs are bit-deterministic --
+including across processes and ``PYTHONHASHSEED`` values.  The
+controller's feedback makes the elastic path inherently sequential, so
+every elastic run takes this loop whatever
+:attr:`~repro.serve.simulator.ServeConfig.engine` says (the flag selects
+only the static scheduler); the per-tick overdue count comes from the
 amortized-O(1) :class:`~repro.simcore.elastic.OverdueTracker`.
 
-**Fault plans and ABFT integrity compose with the elastic loop.**  The
-loop prices batches with the static simulator's
-:class:`~repro.serve.costs.SliceCostModel` and judges every attempt
-with the static scheduler's own helpers
-(:func:`~repro.serve.scheduler.judge_attempt` for timeouts, outage
-interrupts, bit flips, ECC and ABFT detection and recompute marking;
-:func:`~repro.serve.scheduler.charge_failure` for backoff retries and
-death on retry-budget exhaustion), then closes the control loop over
-them:
+**Fault plans and ABFT integrity compose with the elastic loop**, since
+timeouts, outages, bit flips, ECC, ABFT, retries and deaths are the
+static loop's own; the elastic hooks close the control loop over them:
 
 * each :class:`PriorityClass` carries its own trailing burn window and
   the controller scales on the **worst** class, so a starving
@@ -58,8 +56,8 @@ them:
   scale-down;
 * a shard death triggers an immediate **failover attach** (bypassing
   the cooldown): the dead slice is redistributed over the survivors
-  exactly as the static reroute, and a cold spare streams its corpus
-  slice in through the HBM model before joining;
+  (the static reroute's split, for one death), and a cold spare
+  streams its corpus slice in through the HBM model before joining;
 * a stuck-at cell under protection burns the retry budget and
   escalates to the same replace-and-drain, so integrity faults cost
   latency, not permanent capacity.
@@ -67,17 +65,16 @@ them:
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
+    Union
 
 import numpy as np
 
 from ..core.params import APUParams, DEFAULT_PARAMS
 from ..ecc import ECCModel
-from ..faults import BitFlipFault, FaultInjector, FaultLogEntry, \
-    FaultPlan, OutageFault, StallFault
+from ..faults import BitFlipFault, FaultInjector, FaultPlan, OutageFault, \
+    StallFault
 from ..integrity.config import IntegrityConfig
 from ..obs import collector as _trace_collector
 from ..obs.events import LANE_SCALE, LANE_VCU, TraceEvent
@@ -85,21 +82,21 @@ from ..rag.corpus import PAPER_CORPORA
 from ..rag.generation import GenerationModel
 from ..serve.metrics import LatencyStats, slo_attainment, utilization
 from ..serve.scheduler import (
-    OUTCOME_OK,
+    EXTENSION_KIND,
     BatchPolicy,
-    ExecutedBatch,
+    DiscreteEventScheduler,
+    LoopHooks,
     RequestRecord,
     RetryPolicy,
     ScheduleResult,
-    charge_failure,
-    judge_attempt,
+    _ShardState,
 )
 from ..serve.sharding import merge_cycles, merge_seconds
 from ..serve.simulator import ServeConfig, ServeReport, \
     ServingSimulator, emit_batch_trace, emit_fault_trace, \
-    emit_integrity_trace
-from ..serve.workload import ClosedLoopConfig, spike_arrival_times, \
-    trace_arrivals
+    emit_integrity_trace, stage_recorder
+from ..serve.workload import ClosedLoopConfig, check_arrival_times, \
+    poisson_arrival_times, spike_arrival_times, trace_arrivals
 from ..simcore.elastic import OverdueTracker
 from .controller import SCALE_DOWN, SCALE_UP, BurnRateController
 from .policy import AutoscalePolicy, PoolBoundsError, ScalePolicy, \
@@ -116,7 +113,7 @@ __all__ = [
     "golden_autoscale_fault_config",
 ]
 
-_TIMER, _DONE, _WARM, _CONTROL, _ISSUE, _FAIL, _WAKE = range(7)
+_WARM, _CONTROL, _ISSUE = range(EXTENSION_KIND, EXTENSION_KIND + 3)
 
 
 class ScaleConfigError(ScalePolicyError):
@@ -166,21 +163,7 @@ class ScaleConfig:
                 raise ScaleConfigError(
                     "arrivals and closed_loop are mutually exclusive")
             times = tuple(float(t) for t in self.arrivals)
-            if not times:
-                raise ScaleConfigError(
-                    "arrivals must contain at least one timestamp")
-            bad = next((i for i, t in enumerate(times)
-                        if not math.isfinite(t)), None)
-            if bad is not None:
-                raise ScaleConfigError(
-                    f"arrival times must be finite, got {times[bad]!r} "
-                    f"at index {bad}")
-            if any(t < 0 for t in times):
-                raise ScaleConfigError(
-                    "arrival times must be non-negative")
-            if any(b < a for a, b in zip(times, times[1:])):
-                raise ScaleConfigError(
-                    "arrival times must be sorted ascending")
+            check_arrival_times(times, ScaleConfigError)
             object.__setattr__(self, "arrivals", times)
         if self.policy is None:
             if self.closed_loop is not None:
@@ -350,41 +333,6 @@ class ScaleReport:
         return "\n".join(lines)
 
 
-class _Slot:
-    """Mutable per-device state during an elastic run."""
-
-    __slots__ = ("queue", "busy", "busy_s", "gen", "timer_armed_gen",
-                 "batch_seq", "chunk_count", "serving", "warming",
-                 "draining", "failures", "blocked_until", "wake_at",
-                 "dead", "last_corrupted", "flip_cursor")
-
-    def __init__(self) -> None:
-        self.queue: List[Tuple[int, float]] = []  # (req_id, enqueue_s)
-        self.busy = False
-        self.busy_s = 0.0
-        self.gen = 0
-        self.timer_armed_gen = -1
-        self.batch_seq = 0
-        #: Chunks this device scans per query (frozen while draining).
-        self.chunk_count = 0
-        self.serving = False
-        self.warming = False
-        self.draining = False
-        #: Consecutive failed attempts (resets on success).
-        self.failures = 0
-        #: Backoff gate: no dispatch before this time.
-        self.blocked_until = 0.0
-        #: Earliest pending wake event (dedupes wake arming).
-        self.wake_at = math.inf
-        #: Declared dead: failed over, never dispatches again.
-        self.dead = False
-        #: Last failure was a detected corruption (the next dispatch is
-        #: a recompute, logged as such).
-        self.last_corrupted = False
-        #: Consume-once cursor into the slot's scripted transient flips.
-        self.flip_cursor = 0
-
-
 @dataclass
 class _ElasticRun:
     """Raw artifacts of one elastic run (for traces + telemetry)."""
@@ -395,6 +343,8 @@ class _ElasticRun:
     stage_tables: List[Any]
     batch_bytes: List[int]
     merge_by_required: Dict[int, float]
+    #: Request id -> reported TTI, as the controller saw it.
+    tti_latency: Dict[int, float]
 
 
 class ScaleSimulator:
@@ -504,13 +454,6 @@ class ScaleSimulator:
             and self._pool is not None
         pool = self._pool
         cfg = self.config.serve
-        # Bitwise the in-loop completion arithmetic: (now - arrival) +
-        # merge + prefill, with now == retrieval_done_s.
-        tti_by_req = {
-            r.req_id: (r.retrieval_done_s - r.arrival_s)
-            + self._merge_for(r.n_required) + self.prefill_s
-            for r in run.result.records
-            if r.retrieval_done_s is not None}
         attach_bytes = {
             j: pool.costs.embedding_bytes(pool.base_counts[j])
             for j in range(pool.capacity)}
@@ -521,7 +464,7 @@ class ScaleSimulator:
             error_budget=policy.autoscale.error_budget,
             class_names=tuple(c.name for c in policy.priorities),
             priorities=run.priorities,
-            tti_by_req=tti_by_req,
+            tti_by_req=run.tti_latency,
             batch_bytes=run.batch_bytes,
             pool_initial=cfg.n_shards,
             registry_exposition=telemetry.registry.expose(),
@@ -534,545 +477,43 @@ class ScaleSimulator:
 
     # ------------------------------------------------------------------
     def _run_elastic(self, capture: bool) -> _ElasticRun:
-        cfg = self.config.serve
-        policy = self.config.policy
-        assert policy is not None and self._pool is not None
-        pool = self._pool
-        costs = pool.costs
-        auto = policy.autoscale
-        classes = policy.priorities
-        shares = np.asarray(policy.shares, dtype=np.float64)
-        batch_policy: BatchPolicy = cfg.batch
-        controller = BurnRateController(auto, cfg.slo_s,
-                                        n_classes=len(classes))
-        injector = self._injector
-        protected = cfg.integrity.enabled
-        ecc = ECCModel(cfg.ecc) if cfg.ecc.enabled else None
-        retry = cfg.retry
-
-        if capture:
-            from ..telemetry.build import StageTable
-            stage_memo: Dict[Tuple[int, int, int], Any] = {}
-
-        heap: List[tuple] = []
-        push_seq = 0
-
-        def push(time_s: float, kind: int, payload: Any) -> None:
-            nonlocal push_seq
-            heapq.heappush(heap, (time_s, push_seq, kind, payload))
-            push_seq += 1
-
-        slots = [_Slot() for _ in range(pool.capacity)]
-        serving: List[int] = list(range(cfg.n_shards))
-        for j, count in pool.counts_for(serving).items():
-            slots[j].serving = True
-            slots[j].chunk_count = count
-        n_warming = 0
-
-        records: Dict[int, RequestRecord] = {}
-        priorities: Dict[int, int] = {}
-        req_client: Dict[int, int] = {}
-        tti_latency: Dict[int, float] = {}
-        batches: List[ExecutedBatch] = []
-        stage_tables: List[Any] = []
-        batch_bytes: List[int] = []
-        actions: List[ScaleAction] = []
-        fault_log: List[FaultLogEntry] = []
-        death_times: Dict[int, float] = {}
-        #: (shard_id, seq) -> popped (req_id, enqueue_s) pairs of a
-        #: batch attempt that will fail, for FIFO-preserving re-enqueue.
-        pending_retry: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
-        shed_counts = [0 for _ in classes]
-        class_burn_peaks = [0.0 for _ in classes]
-        n_open = 0
-        n_shed = 0
-        pool_min = pool_max = len(serving)
-        peak_burn = 0.0
-        warmup_total = 0.0
-        overdue = OverdueTracker(cfg.slo_s, len(classes))
-
-        closed = self.config.closed_loop
-        arr_times: List[float] = []
-        arr_ptr = 0
-        if closed is None:
-            if self.config.arrivals is not None:
-                times = list(self.config.arrivals)
-            else:
-                rng_arrival = np.random.default_rng(cfg.seed)
-                gaps = rng_arrival.exponential(
-                    1.0 / cfg.qps, size=cfg.n_requests)
-                times = list(np.cumsum(gaps))
-            rng_priority = np.random.default_rng([cfg.seed, 101])
-            assigned = rng_priority.choice(
-                len(classes), size=len(times), p=shares)
-            n_expected = len(times)
-            for req_id in range(n_expected):
-                priorities[req_id] = int(assigned[req_id])
-            # Pointer-merged arrivals: never heap-pushed.
-            arr_times = [float(t) for t in times]
-            issues_pending = 0
-            issued = n_expected
-        else:
-            rng_priority = np.random.default_rng([closed.seed, 101])
-            rng_think = np.random.default_rng([closed.seed, 211])
-            n_expected = closed.n_requests
-            issued = 0
-            issues_pending = 0
-            offsets = rng_think.exponential(
-                closed.think_time_s, size=closed.n_clients)
-            for client, offset in enumerate(offsets):
-                push(float(offset), _ISSUE, client)
-                issues_pending += 1
-
-        def work_remains() -> bool:
-            if n_open > 0 or issues_pending > 0:
-                return True
-            if closed is None:
-                return arr_ptr < len(arr_times)
-            return issued < n_expected
-
-        def retopo() -> None:
-            """Re-anchor every serving slot on the current topology."""
-            for j, count in pool.counts_for(serving).items():
-                slots[j].chunk_count = count
-
-        def queue_pressure() -> float:
-            queued = sum(len(slots[j].queue) for j in serving)
-            return queued / (len(serving) * batch_policy.max_batch)
-
-        def next_think(after_s: float) -> None:
-            nonlocal issues_pending
-            assert closed is not None
-            if issued >= n_expected:
-                return
-            think = float(rng_think.exponential(closed.think_time_s))
-            push(after_s + think, _ISSUE, -1)
-            issues_pending += 1
-
-        def check_resolved(record: RequestRecord, now: float) -> None:
-            nonlocal n_open
-            if record.retrieval_done_s is not None:
-                return
-            if len(record.shard_done_s) + len(record.failed_shards) \
-                    >= record.n_required:
-                record.retrieval_done_s = now
-                n_open -= 1
-                overdue.resolve(record.req_id)
-                merge = self._merge_for(record.n_required)
-                lat = (now - record.arrival_s) + merge + self.prefill_s
-                tti_latency[record.req_id] = lat
-                controller.note_completion(now, lat,
-                                           priorities[record.req_id])
-                if closed is not None:
-                    next_think(now + merge + self.prefill_s)
-
-        def arm_wake(shard_id: int, at_s: float) -> None:
-            state = slots[shard_id]
-            if at_s < state.wake_at:
-                state.wake_at = at_s
-                push(at_s, _WAKE, shard_id)
-
-        def declare_dead(shard_id: int, now: float) -> None:
-            """The static scheduler's death path, then the elastic
-            reaction: drop the slot from the topology, feed the
-            controller fault pressure, and failover-attach a spare."""
-            state = slots[shard_id]
-            if state.dead:
-                return
-            state.dead = True
-            state.gen += 1  # stale any armed timer
-            death_times[shard_id] = now
-            fault_log.append(FaultLogEntry(
-                kind="dead", shard_id=shard_id, t_s=now,
-                attempt=state.failures))
-            for req_id, _enqueue in state.queue:
-                record = records[req_id]
-                record.failed_shards.add(shard_id)
-                check_resolved(record, now)
-            state.queue.clear()
-            was_serving = state.serving
-            state.serving = False
-            state.draining = False
-            if was_serving:
-                serving.remove(shard_id)
-                if serving:
-                    # Survivors take over the dead slice -- the same
-                    # redistribution as the static reroute failover.
-                    retopo()
-                note_pool_size()
-            actions.append(ScaleAction(
-                kind="dead", t_s=now, shard_id=shard_id,
-                pool_size=len(serving)))
-            if was_serving:
-                controller.note_fault(now)
-                if controller.decide_failover(now, len(serving),
-                                              n_warming):
-                    attach_slots(now, 0.0, 1, reason="failover")
-
-        def dispatch(shard_id: int, now: float) -> None:
-            state = slots[shard_id]
-            take = min(batch_policy.max_batch, len(state.queue))
-            head_enqueue = state.queue[0][1]
-            taken = state.queue[:take]
-            del state.queue[:take]
-            base = costs.service_seconds(state.chunk_count, take)
-            if injector is None:
-                multiplier, outcome, occupied = 1.0, OUTCOME_OK, base
-                corrupted = recompute = False
-            else:
-                multiplier, outcome, occupied, corrupted, recompute = \
-                    judge_attempt(injector, retry, ecc, protected, state,
-                                  shard_id, now, base, fault_log.append)
-            batch = ExecutedBatch(
-                shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
-                service_s=occupied,
-                request_ids=tuple(req_id for req_id, _ in taken),
-                head_enqueue_s=head_enqueue, attempt=state.failures,
-                multiplier=multiplier, outcome=outcome,
-                corrupted=corrupted, recompute=recompute)
-            state.batch_seq += 1
-            state.busy = True
-            state.gen += 1  # stale any armed max-wait timer
-            batches.append(batch)
-            batch_bytes.append(costs.embedding_bytes(state.chunk_count))
-            if capture:
-                key = (shard_id, state.chunk_count, take)
-                table = stage_memo.get(key)
-                if table is None:
-                    table = stage_memo[key] = StageTable(
-                        shard_id=shard_id, batch_size=take,
-                        stages=costs.stage_seconds(state.chunk_count, take))
-                stage_tables.append(table)
-            if outcome == OUTCOME_OK:
-                push(batch.complete_s, _DONE, batch)
-            else:
-                pending_retry[(shard_id, batch.seq)] = taken
-                push(batch.complete_s, _FAIL, batch)
-
-        def maybe_dispatch(shard_id: int, now: float) -> None:
-            state = slots[shard_id]
-            if state.dead or state.busy or not state.queue:
-                return
-            if injector is not None and injector.is_down(shard_id, now):
-                up_at = injector.next_up(shard_id, now)
-                if math.isinf(up_at):
-                    declare_dead(shard_id, now)
-                else:
-                    arm_wake(shard_id, up_at)
-                return
-            if now < state.blocked_until:
-                arm_wake(shard_id, state.blocked_until)
-                return
-            if len(state.queue) >= batch_policy.max_batch:
-                dispatch(shard_id, now)
-                return
-            deadline = state.queue[0][1] + batch_policy.max_wait_s
-            if now >= deadline:
-                dispatch(shard_id, now)
-            elif state.timer_armed_gen != state.gen:
-                state.timer_armed_gen = state.gen
-                push(deadline, _TIMER, (shard_id, state.gen))
-
-        def handle_failure(batch: ExecutedBatch, now: float) -> None:
-            state = slots[batch.shard_id]
-            state.busy = False
-            state.busy_s += batch.service_s  # wasted work still occupies
-            # FIFO-preserving re-enqueue at the queue head.
-            taken = pending_retry.pop((batch.shard_id, batch.seq))
-            state.queue[0:0] = taken
-            if charge_failure(retry, state, batch.shard_id, batch.outcome,
-                              batch.dispatch_s, batch.service_s, now,
-                              fault_log.append):
-                declare_dead(batch.shard_id, now)
-                return
-            maybe_dispatch(batch.shard_id, now)
-
-        def handle_arrival(req_id: int, now: float, prio: int) -> None:
-            nonlocal n_open, n_shed
-            if not serving:
-                # Every device is dead, draining, or still warming:
-                # the request resolves empty-handed (the static
-                # scheduler's no-live-shards arrival), still counted
-                # against goodput.
-                record = RequestRecord(req_id=req_id, arrival_s=now,
-                                       n_required=0)
-                records[req_id] = record
-                n_open += 1
-                overdue.admit(req_id, now, prio)
-                check_resolved(record, now)
-                return
-            threshold = policy.admission.shed_queue_batches \
-                * classes[prio].weight
-            if queue_pressure() >= threshold:
-                n_shed += 1
-                shed_counts[prio] += 1
-                actions.append(ScaleAction(
-                    kind="shed", t_s=now, pool_size=len(serving),
-                    priority=classes[prio].name))
-                if closed is not None:
-                    next_think(now)
-                return
-            record = RequestRecord(req_id=req_id, arrival_s=now,
-                                   n_required=len(serving))
-            records[req_id] = record
-            n_open += 1
-            overdue.admit(req_id, now, prio)
-            # Snapshot: maybe_dispatch can declare the shard dead
-            # (permanent outage discovered at dispatch), and
-            # declare_dead edits ``serving`` -- iterating the live
-            # list would silently skip the next member.
-            for shard_id in list(serving):
-                slots[shard_id].queue.append((req_id, now))
-                maybe_dispatch(shard_id, now)
-
-        def note_pool_size() -> None:
-            nonlocal pool_min, pool_max
-            pool_min = min(pool_min, len(serving))
-            pool_max = max(pool_max, len(serving))
-
-        def attach_slots(now: float, burn: float, want: int,
-                         reason: str = "") -> None:
-            nonlocal n_warming, warmup_total
-            candidates = [j for j in range(pool.capacity)
-                          if not (slots[j].serving or slots[j].warming
-                                  or slots[j].draining or slots[j].dead)]
-            committed = serving + [j for j in range(pool.capacity)
-                                   if slots[j].warming]
-            for j in candidates[:want]:
-                committed = sorted(committed + [j])
-                count = pool.counts_for(committed)[j]
-                warm_s = pool.warmup_seconds(count)
-                slots[j].warming = True
-                n_warming += 1
-                warmup_total += warm_s
-                push(now + warm_s, _WARM, j)
-                actions.append(ScaleAction(
-                    kind="attach", t_s=now, shard_id=j,
-                    pool_size=len(serving), burn_rate=burn,
-                    duration_s=warm_s, reason=reason))
-
-        def scale_up(now: float, burn: float) -> None:
-            room = auto.max_shards - (len(serving) + n_warming)
-            attach_slots(now, burn, min(auto.scale_up_step, room))
-
-        def scale_down(now: float, burn: float) -> None:
-            j = serving[-1]
-            serving.remove(j)
-            state = slots[j]
-            state.serving = False
-            state.draining = True
-            retopo()
-            note_pool_size()
-            actions.append(ScaleAction(
-                kind="detach", t_s=now, shard_id=j,
-                pool_size=len(serving), burn_rate=burn))
-            if not state.queue and not state.busy:
-                state.draining = False
-                actions.append(ScaleAction(
-                    kind="drained", t_s=now, shard_id=j,
-                    pool_size=len(serving)))
-
-        push(auto.control_interval_s, _CONTROL, None)
-
-        while heap or arr_ptr < len(arr_times):
-            if arr_ptr < len(arr_times) \
-                    and (not heap or arr_times[arr_ptr] <= heap[0][0]):
-                # Pointer-merged arrival(s).  At equal timestamps an
-                # arrival goes before every heap event (merging on
-                # ``<=``).
-                if serving and all(slots[j].busy for j in serving):
-                    # Bulk admission: while every serving device is
-                    # busy, an admitted arrival only appends to queues
-                    # (each maybe_dispatch is a busy no-op), so the
-                    # queue-pressure shed test is the whole decision.
-                    # The incremental counter is the identical integer
-                    # sum -- hence the identical float division --
-                    # queue_pressure() computes per arrival.
-                    horizon = heap[0][0] if heap else math.inf
-                    queued = sum(len(slots[j].queue) for j in serving)
-                    denom = len(serving) * batch_policy.max_batch
-                    width = len(serving)
-                    while arr_ptr < len(arr_times) \
-                            and arr_times[arr_ptr] <= horizon:
-                        now = arr_times[arr_ptr]
-                        req_id = arr_ptr
-                        arr_ptr += 1
-                        prio = priorities[req_id]
-                        threshold = policy.admission.shed_queue_batches \
-                            * classes[prio].weight
-                        if queued / denom >= threshold:
-                            n_shed += 1
-                            shed_counts[prio] += 1
-                            actions.append(ScaleAction(
-                                kind="shed", t_s=now, pool_size=width,
-                                priority=classes[prio].name))
-                            continue
-                        record = RequestRecord(
-                            req_id=req_id, arrival_s=now,
-                            n_required=width)
-                        records[req_id] = record
-                        n_open += 1
-                        overdue.admit(req_id, now, prio)
-                        for shard_id in serving:
-                            slots[shard_id].queue.append((req_id, now))
-                        queued += width
-                else:
-                    now = arr_times[arr_ptr]
-                    req_id = arr_ptr
-                    arr_ptr += 1
-                    handle_arrival(req_id, now, priorities[req_id])
-                continue
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind == _TIMER:
-                shard_id, gen = payload
-                if slots[shard_id].gen == gen:
-                    maybe_dispatch(shard_id, now)
-            elif kind == _DONE:
-                batch = payload
-                state = slots[batch.shard_id]
-                state.busy = False
-                state.busy_s += batch.service_s
-                state.failures = 0
-                if batch.corrupted:
-                    # Undetected corruption shipped (unprotected run).
-                    fault_log.append(FaultLogEntry(
-                        kind="sdc", shard_id=batch.shard_id,
-                        t_s=batch.dispatch_s,
-                        duration_s=batch.service_s))
-                for req_id in batch.request_ids:
-                    record = records[req_id]
-                    if batch.shard_id in record.shard_done_s:
-                        raise RuntimeError(
-                            f"request {req_id} served twice on shard "
-                            f"{batch.shard_id}")
-                    record.shard_done_s[batch.shard_id] = now
-                    if batch.corrupted:
-                        record.corrupted_shards.add(batch.shard_id)
-                    check_resolved(record, now)
-                maybe_dispatch(batch.shard_id, now)
-                if state.draining and not state.queue and not state.busy:
-                    state.draining = False
-                    actions.append(ScaleAction(
-                        kind="drained", t_s=now, shard_id=batch.shard_id,
-                        pool_size=len(serving)))
-            elif kind == _FAIL:
-                handle_failure(payload, now)
-            elif kind == _WAKE:
-                slots[payload].wake_at = math.inf
-                maybe_dispatch(payload, now)
-            elif kind == _WARM:
-                state = slots[payload]
-                state.warming = False
-                state.serving = True
-                n_warming -= 1
-                serving.append(payload)
-                serving.sort()
-                retopo()
-                note_pool_size()
-                actions.append(ScaleAction(
-                    kind="warm", t_s=now, shard_id=payload,
-                    pool_size=len(serving)))
-            elif kind == _ISSUE:
-                issues_pending -= 1
-                if issued >= n_expected:
-                    continue
-                req_id = issued
-                issued += 1
-                prio = int(rng_priority.choice(len(classes), p=shares))
-                priorities[req_id] = prio
-                req_client[req_id] = payload
-                handle_arrival(req_id, now, prio)
-            else:  # _CONTROL
-                windows = controller.class_windows(now, overdue.counts(now))
-                burn = 0.0
-                class_burns = []
-                for i, window in enumerate(windows):
-                    class_burn = controller.burn_rate(window)
-                    class_burns.append(class_burn)
-                    if class_burn > class_burn_peaks[i]:
-                        class_burn_peaks[i] = class_burn
-                    if class_burn > burn:
-                        burn = class_burn
-                peak_burn = max(peak_burn, burn)
-                actions.append(ScaleAction(
-                    kind="tick", t_s=now, pool_size=len(serving),
-                    burn_rate=burn, class_burns=tuple(class_burns)))
-                pressure = 0
-                if injector is not None:
-                    # Fault pressure: deaths/stall onsets noted inside
-                    # the trailing window plus devices currently
-                    # running degraded.  Forces the scale-up branch
-                    # and vetoes scale-down at the controller.
-                    pressure = controller.recent_faults()
-                    for j in serving:
-                        if injector.multiplier(j, now) > 1.0:
-                            pressure += 1
-                verdict = controller.decide(now, burn, len(serving),
-                                            n_warming, pressure)
-                if verdict == SCALE_UP:
-                    scale_up(now, burn)
-                elif verdict == SCALE_DOWN:
-                    scale_down(now, burn)
-                if work_remains():
-                    push(now + auto.control_interval_s, _CONTROL, None)
-
-        if not records:  # pragma: no cover - first arrival always admits
-            raise RuntimeError("every offered request was shed")
-        incomplete = [r.req_id for r in records.values()
-                      if r.retrieval_done_s is None]
-        if incomplete:  # pragma: no cover - guarded by construction
-            raise RuntimeError(f"requests never completed: {incomplete}")
-
-        result = ScheduleResult(
-            n_shards=pool.capacity,
-            policy=batch_policy,
-            batches=tuple(batches),
-            records=tuple(records[req_id] for req_id in sorted(records)),
-            busy_seconds=tuple(state.busy_s for state in slots),
-            fault_log=tuple(fault_log),
-            death_times=death_times,
-        )
-        run = self._build_report(result, priorities, tti_latency,
-                                 shed_counts, actions, pool_min, pool_max,
-                                 len(serving), peak_burn, warmup_total,
-                                 class_burn_peaks, stage_tables,
-                                 batch_bytes)
+        scheduler = _ElasticScheduler(self, capture)
+        result = scheduler._run(scheduler.arrivals,
+                                range(len(scheduler.arrivals)),
+                                scheduler.slots)
+        run = self._build_report(result, scheduler)
         self._emit_trace(run)
         self._last_run = run
         return run
 
     # ------------------------------------------------------------------
     def _build_report(self, result: ScheduleResult,
-                      priorities: Dict[int, int],
-                      tti_latency: Dict[int, float],
-                      shed_counts: List[int],
-                      actions: List[ScaleAction],
-                      pool_min: int, pool_max: int, pool_final: int,
-                      peak_burn: float, warmup_total: float,
-                      class_burn_peaks: List[float],
-                      stage_tables: List[Any],
-                      batch_bytes: List[int]) -> _ElasticRun:
+                      elastic: "_ElasticScheduler") -> _ElasticRun:
         cfg = self.config.serve
         policy = self.config.policy
         assert policy is not None
         classes = policy.priorities
+        actions = elastic.actions
+        ticks = [a for a in actions if a.kind == "tick"]
+        # Every topology change is logged with the pool size after it.
+        pool_sizes = [cfg.n_shards] + [a.pool_size for a in actions]
         merge_by_required = dict(self._merge_memo)
 
         retrieval_lat = [r.retrieval_latency_s
                          + self._merge_for(r.n_required)
                          for r in result.records]
-        tti_lat = [tti_latency[r.req_id] for r in result.records]
+        tti_lat = [elastic.tti_latency[r.req_id] for r in result.records]
         makespan = max(r.retrieval_done_s + self._merge_for(r.n_required)
                        for r in result.records
                        if r.retrieval_done_s is not None) + self.prefill_s
         sizes = [batch.batch_size for batch in result.batches]
         n_admitted = len(result.records)
-        n_shed = sum(shed_counts)
+        n_shed = sum(elastic.shed_counts)
         n_offered = n_admitted + n_shed
         n_good = sum(1 for lat in tti_lat if lat <= cfg.slo_s)
         completed_by_class = [0 for _ in classes]
         for record in result.records:
-            completed_by_class[priorities[record.req_id]] += 1
+            completed_by_class[elastic.priorities[record.req_id]] += 1
         report = ScaleReport(
             config=self.config,
             n_offered=n_offered,
@@ -1085,26 +526,27 @@ class ScaleSimulator:
             retrieval=LatencyStats.from_samples(retrieval_lat),
             tti=LatencyStats.from_samples(tti_lat),
             slo_attainment=slo_attainment(tti_lat, cfg.slo_s),
-            pool_min=pool_min,
-            pool_max=pool_max,
-            pool_final=pool_final,
+            pool_min=min(pool_sizes),
+            pool_max=max(pool_sizes),
+            pool_final=sum(1 for slot in elastic.slots if slot.serving),
             n_attaches=sum(1 for a in actions if a.kind == "attach"),
             n_detaches=sum(1 for a in actions if a.kind == "detach"),
-            warmup_total_s=warmup_total,
+            warmup_total_s=sum((a.duration_s for a in actions
+                                if a.kind == "attach"), 0.0),
             shard_utilization=tuple(
                 utilization(result.busy_seconds, result.horizon_s)),
             n_batches=len(result.batches),
             mean_batch_size=sum(sizes) / len(sizes) if sizes else 0.0,
-            peak_burn_rate=peak_burn,
+            peak_burn_rate=max([0.0] + [a.burn_rate for a in ticks]),
             shed_by_class=tuple(
-                (cls.name, shed_counts[i])
+                (cls.name, elastic.shed_counts[i])
                 for i, cls in enumerate(classes)),
             completed_by_class=tuple(
                 (cls.name, completed_by_class[i])
                 for i, cls in enumerate(classes)),
             actions=tuple(actions),
             class_burn_peaks=tuple(
-                (cls.name, class_burn_peaks[i])
+                (cls.name, max([0.0] + [a.class_burns[i] for a in ticks]))
                 for i, cls in enumerate(classes)),
             n_shard_failures=len(result.death_times),
             n_failovers=sum(1 for a in actions if a.kind == "attach"
@@ -1122,9 +564,11 @@ class ScaleSimulator:
                 1 for r in result.records if r.failed_shards),
         )
         return _ElasticRun(
-            report=report, result=result, priorities=dict(priorities),
-            stage_tables=stage_tables, batch_bytes=batch_bytes,
-            merge_by_required=merge_by_required)
+            report=report, result=result, priorities=dict(elastic.priorities),
+            stage_tables=elastic.stage_tables,
+            batch_bytes=elastic.batch_bytes,
+            merge_by_required=merge_by_required,
+            tti_latency=elastic.tti_latency)
 
     # ------------------------------------------------------------------
     def _emit_trace(self, run: _ElasticRun) -> None:
@@ -1204,6 +648,260 @@ class ScaleSimulator:
             emit_integrity_trace(trace, result, clock, cfg.faults,
                                  cfg.integrity, self.params,
                                  pool.capacity)
+
+
+class _ElasticScheduler(DiscreteEventScheduler):
+    """The static event loop plus the elastic hooks, for one run.
+
+    The slots are the loop's own per-shard state over the whole pool
+    capacity.  Each slot's batches are priced on its ``chunk_count``,
+    which every topology change re-anchors.  The tallies the report
+    needs stay on the instance after the run.
+    """
+
+    def __init__(self, sim: ScaleSimulator, capture: bool):
+        config = sim.config
+        cfg = config.serve
+        policy = config.policy
+        pool = sim._pool
+        assert policy is not None and pool is not None
+        self.sim = sim
+        self.pool = pool
+        slots = [_ShardState(serving=False) for _ in range(pool.capacity)]
+        for j, count in pool.counts_for(range(cfg.n_shards)).items():
+            slots[j].serving = True
+            slots[j].chunk_count = count
+        self.slots = slots
+
+        costs = pool.costs
+        service_seconds = costs.service_seconds
+        embedding_bytes = costs.embedding_bytes
+        #: Per dispatched batch: embedding bytes of the slice it scanned.
+        self.batch_bytes: List[int] = []
+        record_bytes = self.batch_bytes.append
+
+        def price(shard_id: int, batch_size: int) -> float:
+            count = slots[shard_id].chunk_count
+            record_bytes(embedding_bytes(count))
+            return service_seconds(count, batch_size)
+
+        self.stage_tables: List[Any] = []
+        super().__init__(
+            pool.capacity, cfg.batch,
+            stage_recorder(price, lambda j: slots[j].chunk_count, costs,
+                           self.stage_tables) if capture else price,
+            injector=sim._injector, retry=cfg.retry,
+            protected=cfg.integrity.enabled,
+            ecc=ECCModel(cfg.ecc) if cfg.ecc.enabled else None)
+
+        n_classes = len(policy.priorities)
+        self.priorities: Dict[int, int] = {}
+        #: Open-loop arrival times (closed loops issue through _ISSUE).
+        self.arrivals: List[float] = []
+        if config.closed_loop is None:
+            times = config.arrivals if config.arrivals is not None \
+                else poisson_arrival_times(cfg.qps, cfg.n_requests, cfg.seed)
+            assigned = np.random.default_rng([cfg.seed, 101]).choice(
+                n_classes, size=len(times), p=policy.shares)
+            self.priorities = {i: int(prio)
+                               for i, prio in enumerate(assigned)}
+            self.arrivals = [float(t) for t in times]
+        self.tti_latency: Dict[int, float] = {}
+        self.actions: List[ScaleAction] = []
+        self.shed_counts = [0] * n_classes
+
+    def _hooks(self, shards: List[_ShardState], serving: List[int],
+               push: Callable[[float, int, Any], None],
+               arrive: Callable[[int, float], None]) -> LoopHooks:
+        sim = self.sim
+        config = sim.config
+        cfg = config.serve
+        policy = config.policy
+        assert policy is not None
+        pool = self.pool
+        auto = policy.autoscale
+        classes = policy.priorities
+        shares = np.asarray(policy.shares, dtype=np.float64)
+        max_batch = cfg.batch.max_batch
+        thresholds = [policy.admission.shed_queue_batches * cls.weight
+                      for cls in classes]
+        controller = BurnRateController(auto, cfg.slo_s,
+                                        n_classes=len(classes))
+        note_completion = controller.note_completion
+        overdue = OverdueTracker(cfg.slo_s, len(classes))
+        overdue_admit = overdue.admit
+        overdue_resolve = overdue.resolve
+        injector = self.injector
+        merge_for = sim._merge_for
+        prefill_s = sim.prefill_s
+        priorities = self.priorities
+        tti_latency = self.tti_latency
+        actions = self.actions
+        shed_counts = self.shed_counts
+
+        closed = config.closed_loop
+        n_expected = len(self.arrivals)
+        n_arrived = n_open = n_warming = issues_pending = 0
+        if closed is not None:
+            rng_priority = np.random.default_rng([closed.seed, 101])
+            rng_think = np.random.default_rng([closed.seed, 211])
+            n_expected = closed.n_requests
+            for offset in rng_think.exponential(closed.think_time_s,
+                                                size=closed.n_clients):
+                push(float(offset), _ISSUE, None)
+            issues_pending = closed.n_clients
+        push(auto.control_interval_s, _CONTROL, None)
+
+        def next_think(after_s: float) -> None:
+            nonlocal issues_pending
+            assert closed is not None
+            if n_arrived >= n_expected:
+                return
+            think = float(rng_think.exponential(closed.think_time_s))
+            push(after_s + think, _ISSUE, None)
+            issues_pending += 1
+
+        def admit(req_id: int, now: float, queued: int, width: int) -> bool:
+            nonlocal n_arrived, n_open
+            n_arrived += 1
+            prio = priorities[req_id]
+            # With every device dead, draining or warming the request
+            # is admitted and resolves empty-handed.
+            if width and queued / (width * max_batch) >= thresholds[prio]:
+                shed_counts[prio] += 1
+                actions.append(ScaleAction(
+                    kind="shed", t_s=now, pool_size=width,
+                    priority=classes[prio].name))
+                if closed is not None:
+                    next_think(now)
+                return False
+            n_open += 1
+            overdue_admit(req_id, now, prio)
+            return True
+
+        def on_resolved(record: RequestRecord, now: float) -> None:
+            nonlocal n_open
+            n_open -= 1
+            req_id = record.req_id
+            overdue_resolve(req_id)
+            merge = merge_for(record.n_required)
+            lat = (now - record.arrival_s) + merge + prefill_s
+            tti_latency[req_id] = lat
+            note_completion(now, lat, priorities[req_id])
+            if closed is not None:
+                next_think(now + merge + prefill_s)
+
+        def retopo() -> None:
+            """Re-anchor every serving slot on the current topology."""
+            for j, count in pool.counts_for(serving).items():
+                shards[j].chunk_count = count
+
+        def attach_slots(now: float, burn: float, want: int,
+                         reason: str = "") -> None:
+            nonlocal n_warming
+            candidates = [j for j, slot in enumerate(shards)
+                          if not (slot.serving or slot.warming
+                                  or slot.draining or slot.dead)]
+            committed = serving + [j for j, slot in enumerate(shards)
+                                   if slot.warming]
+            for j in candidates[:want]:
+                committed = sorted(committed + [j])
+                warm_s = pool.warmup_seconds(pool.counts_for(committed)[j])
+                shards[j].warming = True
+                n_warming += 1
+                push(now + warm_s, _WARM, j)
+                actions.append(ScaleAction(
+                    kind="attach", t_s=now, shard_id=j,
+                    pool_size=len(serving), burn_rate=burn,
+                    duration_s=warm_s, reason=reason))
+
+        def on_death(shard_id: int, now: float, was_serving: bool) -> None:
+            """Re-anchor the survivors, feed the controller fault
+            pressure, and failover-attach a spare."""
+            if was_serving and serving:
+                # Survivors take over the dead slice -- the same
+                # redistribution as the static reroute failover.
+                retopo()
+            actions.append(ScaleAction(
+                kind="dead", t_s=now, shard_id=shard_id,
+                pool_size=len(serving)))
+            if was_serving:
+                controller.note_fault(now)
+                if controller.decide_failover(now, len(serving),
+                                              n_warming):
+                    attach_slots(now, 0.0, 1, reason="failover")
+
+        def drained(shard_id: int, slot: _ShardState, now: float) -> None:
+            """Log a detached slot whose queue has just run dry."""
+            if slot.draining and not slot.queue and not slot.busy:
+                slot.draining = False
+                actions.append(ScaleAction(
+                    kind="drained", t_s=now, shard_id=shard_id,
+                    pool_size=len(serving)))
+
+        def scale_down(now: float, burn: float) -> None:
+            j = serving.pop()
+            slot = shards[j]
+            slot.serving = False
+            slot.draining = True
+            retopo()
+            actions.append(ScaleAction(
+                kind="detach", t_s=now, shard_id=j,
+                pool_size=len(serving), burn_rate=burn))
+            drained(j, slot, now)
+
+        def tick(now: float) -> None:
+            class_burns = tuple(
+                controller.burn_rate(window) for window in
+                controller.class_windows(now, overdue.counts(now)))
+            burn = max((0.0,) + class_burns)
+            actions.append(ScaleAction(
+                kind="tick", t_s=now, pool_size=len(serving),
+                burn_rate=burn, class_burns=class_burns))
+            pressure = 0
+            if injector is not None:
+                # Fault pressure: deaths/stall onsets noted inside the
+                # trailing window plus devices currently running
+                # degraded.  Forces the scale-up branch and vetoes
+                # scale-down at the controller.
+                pressure = controller.recent_faults()
+                for j in serving:
+                    if injector.multiplier(j, now) > 1.0:
+                        pressure += 1
+            verdict = controller.decide(now, burn, len(serving), n_warming,
+                                        pressure)
+            if verdict == SCALE_UP:
+                room = auto.max_shards - (len(serving) + n_warming)
+                attach_slots(now, burn, min(auto.scale_up_step, room))
+            elif verdict == SCALE_DOWN:
+                scale_down(now, burn)
+            if n_open > 0 or issues_pending > 0 or n_arrived < n_expected:
+                push(now + auto.control_interval_s, _CONTROL, None)
+
+        def on_event(kind: int, now: float, payload: Any) -> None:
+            nonlocal n_warming, issues_pending
+            if kind == _CONTROL:
+                tick(now)
+            elif kind == _WARM:
+                shards[payload].warming = False
+                shards[payload].serving = True
+                n_warming -= 1
+                serving.append(payload)
+                serving.sort()
+                retopo()
+                actions.append(ScaleAction(
+                    kind="warm", t_s=now, shard_id=payload,
+                    pool_size=len(serving)))
+            else:  # _ISSUE: a closed-loop client's next request
+                issues_pending -= 1
+                if n_arrived < n_expected:
+                    priorities[n_arrived] = int(
+                        rng_priority.choice(len(classes), p=shares))
+                    arrive(n_arrived, now)
+
+        return LoopHooks(admit=admit, on_resolved=on_resolved,
+                         on_death=on_death, on_done=drained,
+                         on_event=on_event)
 
 
 def golden_autoscale_config() -> ScaleConfig:

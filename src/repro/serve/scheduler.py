@@ -42,18 +42,24 @@ escapes silently: the affected requests record the shard in
 
 These per-attempt semantics are written once, in :func:`judge_attempt`
 (the verdict on a dispatched attempt) and :func:`charge_failure` (retry,
-backoff and death bookkeeping); this loop, the vectorized core and the
-elastic loop all call them.
+backoff and death bookkeeping); this loop and the vectorized core both
+call them.
 
 The event loop is a plain binary heap ordered by ``(time, sequence)``;
 the sequence number makes simultaneous events process in insertion
-order, so the whole simulation is bit-deterministic for a fixed
-request stream, fault plan, and service model -- and with no injector
-the fault paths are never entered, so the schedule is bit-identical to
-the fault-free scheduler.  A request's retrieval completes when every
-shard it was fanned out to has either finished or been declared dead;
-downstream costs (top-k merge, generator prefill) are applied by the
-simulator on top of the scheduler output.
+order.  Arrivals are not pushed: they are merged in from the sorted
+stream and go before every heap event at the same instant.  So the whole
+simulation is bit-deterministic for a fixed request stream, fault plan,
+and service model -- and with no injector the fault paths are never
+entered, so the schedule is bit-identical to the fault-free scheduler.
+A request's retrieval completes when every shard it was fanned out to
+has either finished or been declared dead; downstream costs (top-k
+merge, generator prefill) are applied by the simulator on top of the
+scheduler output.
+
+This is the only scalar event loop.  The elastic simulator
+(:mod:`repro.scale.simulator`) runs it too, supplying admission control,
+the autoscaler and its extra event kinds through :class:`LoopHooks`.
 """
 
 from __future__ import annotations
@@ -62,8 +68,9 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, \
-    Tuple
+from itertools import repeat, starmap
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, \
+    Sequence, Set, Tuple
 
 import numpy as np
 
@@ -78,11 +85,16 @@ __all__ = [
     "RequestRecord",
     "ScheduleResult",
     "DiscreteEventScheduler",
+    "LoopHooks",
     "charge_failure",
     "judge_attempt",
+    "ordered_requests",
 ]
 
-_ARRIVE, _TIMER, _DONE, _FAIL, _WAKE = 0, 1, 2, 3, 4
+_TIMER, _DONE, _FAIL, _WAKE = range(4)
+#: Heap event kinds from this value up belong to a loop extension: the
+#: loop hands them to its ``on_event`` hook.
+EXTENSION_KIND = 4
 
 #: Batch outcomes (dispatch decides them deterministically).
 OUTCOME_OK = "ok"
@@ -128,9 +140,10 @@ class RetryPolicy:
     backoff_cap_s: float = 8e-3
 
     def __post_init__(self):
-        if math.isnan(self.timeout_s) or self.timeout_s <= 0:
+        if not self.timeout_s > 0:
             raise ValueError(
-                f"timeout_s must be positive, got {self.timeout_s!r}")
+                f"timeout_s must be > 0, or inf for no timeout, "
+                f"got {self.timeout_s!r}")
         if not isinstance(self.max_retries, (int, np.integer)) \
                 or isinstance(self.max_retries, bool) or self.max_retries < 0:
             raise ValueError(
@@ -310,9 +323,10 @@ class _ShardState:
 
     __slots__ = ("queue", "busy", "busy_s", "gen", "timer_armed_gen",
                  "batch_seq", "failures", "blocked_until", "wake_at",
-                 "dead", "last_corrupted", "flip_cursor")
+                 "dead", "last_corrupted", "flip_cursor", "serving",
+                 "warming", "draining", "chunk_count")
 
-    def __init__(self):
+    def __init__(self, serving: bool = True):
         self.queue: "deque[Tuple[int, float]]" = deque()  # (req_id, enqueue)
         self.busy = False
         self.busy_s = 0.0
@@ -333,6 +347,60 @@ class _ShardState:
         #: Consume-once cursor into the shard's scripted transient
         #: flips: each flip corrupts exactly one completing batch.
         self.flip_cursor = 0
+        #: New arrivals fan out to this shard (every live shard of a
+        #: static run; the current topology of an elastic one).
+        self.serving = serving
+        #: Elastic runs: streaming its slice in before it serves, or
+        #: finishing its queue after a detach.
+        self.warming = False
+        self.draining = False
+        #: Elastic runs: chunks this device scans per query (frozen
+        #: while draining).
+        self.chunk_count = 0
+
+
+class LoopHooks(NamedTuple):
+    """What an extension of the event loop supplies; ``None`` = none.
+
+    * ``admit(req_id, now, queued, width) -> bool``: admission control
+      for every arrival.  ``width`` is the number of serving shards and
+      ``queued`` the sub-queries waiting on them; ``False`` sheds the
+      request before it is recorded.
+    * ``on_resolved(record, now)``: a request's scatter-gather resolved.
+    * ``on_death(shard_id, now, was_serving)``: the reaction to a death,
+      after the shard's queue drained and it left ``serving``.
+    * ``on_done(shard_id, state, now)``: after a successful batch
+      completion re-dispatched its shard.
+    * ``on_event(kind, now, payload)``: a heap event the extension
+      pushed itself (``kind >= EXTENSION_KIND``).
+    """
+
+    admit: Optional[Callable[[int, float, int, int], bool]] = None
+    on_resolved: Optional[Callable[[RequestRecord, float], None]] = None
+    on_death: Optional[Callable[[int, float, bool], None]] = None
+    on_done: Optional[Callable[[int, _ShardState, float], None]] = None
+    on_event: Optional[Callable[[int, float, Any], None]] = None
+
+
+def ordered_requests(requests: Sequence[Request]) -> List[Request]:
+    """``requests`` sorted by ``(arrival_s, req_id)``, checked first.
+
+    The stream must be non-empty, every arrival time finite and every
+    ``req_id`` unique.
+    """
+    if not requests:
+        raise ValueError("at least one request is required")
+    ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
+    seen: Set[int] = set()
+    for request in ordered:
+        if not math.isfinite(request.arrival_s):
+            raise ValueError(
+                f"request {request.req_id} has a non-finite arrival time "
+                f"{request.arrival_s!r}")
+        if request.req_id in seen:
+            raise ValueError(f"duplicate req_id {request.req_id}")
+        seen.add(request.req_id)
+    return ordered
 
 
 def judge_attempt(injector: FaultInjector, retry: RetryPolicy,
@@ -501,33 +569,63 @@ class DiscreteEventScheduler:
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[Request]) -> ScheduleResult:
         """Run the simulation to completion (no open requests remain)."""
-        if not requests:
-            raise ValueError("at least one request is required")
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
+        ordered = ordered_requests(requests)
+        return self._run([r.arrival_s for r in ordered],
+                         [r.req_id for r in ordered],
+                         [_ShardState() for _ in range(self.n_shards)])
+
+    def _hooks(self, shards: List[_ShardState], serving: List[int],
+               push: Callable[[float, int, Any], None],
+               arrive: Callable[[int, float], None]) -> LoopHooks:
+        """The extension points of one run (see :class:`LoopHooks`).
+
+        Called once per run, before the first event, with the loop's
+        own per-shard state, ``serving`` list and ``push`` and
+        ``arrive`` primitives.  The static scheduler only forwards
+        deaths to ``on_death``.
+        """
+        on_death = self.on_death
+        if on_death is None:
+            return LoopHooks()
+        return LoopHooks(on_death=lambda shard_id, now, _serving:
+                         on_death(shard_id, now))
+
+    def _run(self, arr_times: Sequence[float], arr_ids: Sequence[int],
+             shards: List[_ShardState]) -> ScheduleResult:
+        """The event loop over arrivals sorted by ``(time, req_id)``.
+
+        ``shards`` is the per-shard state; those marked ``serving`` take
+        the first arrivals.  Arrivals are pointer-merged against the heap
+        rather than pushed onto it; merging on ``<=`` handles an arrival
+        before every heap event at the same instant.  While every
+        serving shard is busy an arrival only joins queues, so the
+        arrivals up to the next heap event are admitted in bulk.
+        """
+        max_batch = self.policy.max_batch
+        max_wait_s = self.policy.max_wait_s
+        injector = self.injector
+        retry = self.retry
+        ecc = self.ecc
+        protected = self.protected
+        service_time = self.service_time
 
         heap: List[tuple] = []
         push_seq = 0
 
-        def push(time_s: float, kind: int, payload) -> None:
+        def push(time_s: float, kind: int, payload: Any) -> None:
             nonlocal push_seq
             heapq.heappush(heap, (time_s, push_seq, kind, payload))
             push_seq += 1
 
-        shards = [_ShardState() for _ in range(self.n_shards)]
+        serving = [j for j, state in enumerate(shards) if state.serving]
         records: Dict[int, RequestRecord] = {}
         batches: List[ExecutedBatch] = []
         fault_log: List[FaultLogEntry] = []
+        log = fault_log.append
         death_times: Dict[int, float] = {}
         #: (shard_id, seq) -> popped (req_id, enqueue_s) pairs of a
         #: batch attempt that will fail, for FIFO-preserving re-enqueue.
         pending_retry: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
-
-        for request in ordered:
-            if request.req_id in records:
-                raise ValueError(f"duplicate req_id {request.req_id}")
-            records[request.req_id] = RequestRecord(
-                req_id=request.req_id, arrival_s=request.arrival_s)
-            push(request.arrival_s, _ARRIVE, request.req_id)
 
         def check_resolved(record: RequestRecord, now: float) -> None:
             if record.retrieval_done_s is not None:
@@ -535,6 +633,8 @@ class DiscreteEventScheduler:
             if len(record.shard_done_s) + len(record.failed_shards) \
                     >= record.n_required:
                 record.retrieval_done_s = now
+                if on_resolved is not None:
+                    on_resolved(record, now)
 
         def arm_wake(shard_id: int, at_s: float) -> None:
             state = shards[shard_id]
@@ -549,39 +649,43 @@ class DiscreteEventScheduler:
             state.dead = True
             state.gen += 1  # stale any armed timer
             death_times[shard_id] = now
-            fault_log.append(FaultLogEntry(
-                kind="dead", shard_id=shard_id, t_s=now,
-                attempt=state.failures))
+            log(FaultLogEntry(kind="dead", shard_id=shard_id, t_s=now,
+                              attempt=state.failures))
             for req_id, _enqueue in state.queue:
                 record = records[req_id]
                 record.failed_shards.add(shard_id)
                 check_resolved(record, now)
             state.queue.clear()
-            if self.on_death is not None:
-                self.on_death(shard_id, now)
+            was_serving = state.serving
+            state.serving = state.draining = False
+            if was_serving:
+                serving.remove(shard_id)
+            if on_death is not None:
+                on_death(shard_id, now, was_serving)
 
         def dispatch(shard_id: int, now: float) -> None:
             state = shards[shard_id]
-            take = min(self.policy.max_batch, len(state.queue))
-            head_enqueue = state.queue[0][1]
-            taken = [state.queue.popleft() for _ in range(take)]
-            ids = tuple(req_id for req_id, _ in taken)
-            base = float(self.service_time(shard_id, take))
-            if not np.isfinite(base) or base <= 0:
+            queue = state.queue
+            take = min(max_batch, len(queue))
+            head_enqueue = queue[0][1]
+            # popleft ``take`` times, without a Python-level loop.
+            taken = list(starmap(queue.popleft, repeat((), take)))
+            base = float(service_time(shard_id, take))
+            if not 0.0 < base < math.inf:
                 raise ValueError(
                     f"service_time must be positive and finite, got "
                     f"{base!r} for shard {shard_id} batch {take}")
-            if self.injector is None:
+            if injector is None:
                 multiplier, outcome, occupied = 1.0, OUTCOME_OK, base
                 corrupted = recompute = False
             else:
                 multiplier, outcome, occupied, corrupted, recompute = \
-                    judge_attempt(self.injector, self.retry, self.ecc,
-                                  self.protected, state, shard_id, now,
-                                  base, fault_log.append)
+                    judge_attempt(injector, retry, ecc, protected, state,
+                                  shard_id, now, base, log)
             batch = ExecutedBatch(
                 shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
-                service_s=occupied, request_ids=ids,
+                service_s=occupied,
+                request_ids=tuple([req_id for req_id, _ in taken]),
                 head_enqueue_s=head_enqueue, attempt=state.failures,
                 multiplier=multiplier, outcome=outcome,
                 corrupted=corrupted, recompute=recompute)
@@ -599,9 +703,8 @@ class DiscreteEventScheduler:
             state = shards[shard_id]
             if state.dead or state.busy or not state.queue:
                 return
-            if self.injector is not None \
-                    and self.injector.is_down(shard_id, now):
-                up_at = self.injector.next_up(shard_id, now)
+            if injector is not None and injector.is_down(shard_id, now):
+                up_at = injector.next_up(shard_id, now)
                 if math.isinf(up_at):
                     declare_dead(shard_id, now)
                 else:
@@ -610,10 +713,10 @@ class DiscreteEventScheduler:
             if now < state.blocked_until:
                 arm_wake(shard_id, state.blocked_until)
                 return
-            if len(state.queue) >= self.policy.max_batch:
+            if len(state.queue) >= max_batch:
                 dispatch(shard_id, now)
                 return
-            deadline = state.queue[0][1] + self.policy.max_wait_s
+            deadline = state.queue[0][1] + max_wait_s
             if now >= deadline:
                 dispatch(shard_id, now)
             elif state.timer_armed_gen != state.gen:
@@ -621,77 +724,120 @@ class DiscreteEventScheduler:
                 push(deadline, _TIMER, (shard_id, state.gen))
 
         def handle_failure(batch: ExecutedBatch, now: float) -> None:
-            state = shards[batch.shard_id]
+            shard_id = batch.shard_id
+            state = shards[shard_id]
             state.busy = False
             state.busy_s += batch.service_s  # wasted work still occupies
             # FIFO-preserving re-enqueue at the queue head.
-            taken = pending_retry.pop((batch.shard_id, batch.seq))
-            for pair in reversed(taken):
-                state.queue.appendleft(pair)
-            if charge_failure(self.retry, state, batch.shard_id,
-                              batch.outcome, batch.dispatch_s,
-                              batch.service_s, now, fault_log.append):
-                declare_dead(batch.shard_id, now)
+            state.queue.extendleft(
+                reversed(pending_retry.pop((shard_id, batch.seq))))
+            if charge_failure(retry, state, shard_id, batch.outcome,
+                              batch.dispatch_s, batch.service_s, now, log):
+                declare_dead(shard_id, now)
                 return
-            maybe_dispatch(batch.shard_id, now)
+            maybe_dispatch(shard_id, now)
 
-        while heap:
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind == _ARRIVE:
-                record = records[payload]
-                live = [shard_id for shard_id, state in enumerate(shards)
-                        if not state.dead]
-                record.n_required = len(live)
-                if not live:
-                    # Nothing left to serve from: resolve empty-handed.
-                    record.retrieval_done_s = now
+        def arrive(req_id: int, now: float) -> None:
+            width = len(serving)
+            if admit is not None and not admit(
+                    req_id, now,
+                    sum(len(shards[j].queue) for j in serving), width):
+                return
+            record = records[req_id] = RequestRecord(
+                req_id=req_id, arrival_s=now, n_required=width)
+            if not width:
+                # Nothing left to serve from: resolve empty-handed.
+                check_resolved(record, now)
+                return
+            # Snapshot: maybe_dispatch can declare a shard dead (a
+            # permanent outage found at dispatch), which edits
+            # ``serving`` -- iterating it would skip the next member.
+            for shard_id in list(serving):
+                shards[shard_id].queue.append((req_id, now))
+                maybe_dispatch(shard_id, now)
+
+        admit, on_resolved, on_death, on_done, on_event = \
+            self._hooks(shards, serving, push, arrive)
+        n_arrivals = len(arr_times)
+        arr_ptr = 0
+        while heap or arr_ptr < n_arrivals:
+            if arr_ptr < n_arrivals \
+                    and (not heap or arr_times[arr_ptr] <= heap[0][0]):
+                if not serving or not all(shards[j].busy for j in serving):
+                    arrive(arr_ids[arr_ptr], arr_times[arr_ptr])
+                    arr_ptr += 1
                     continue
-                for shard_id in live:
-                    shards[shard_id].queue.append((payload, now))
-                    maybe_dispatch(shard_id, now)
-            elif kind == _TIMER:
-                shard_id, gen = payload
-                if shards[shard_id].gen == gen:
-                    maybe_dispatch(shard_id, now)
-            elif kind == _WAKE:
-                shards[payload].wake_at = math.inf
-                maybe_dispatch(payload, now)
-            elif kind == _FAIL:
-                handle_failure(payload, now)
-            else:  # _DONE
+                # Bulk admission: with every serving shard busy an
+                # admitted arrival only joins the queues (each
+                # maybe_dispatch would be a busy no-op) until the next
+                # heap event.  ``queued`` is the same integer sum
+                # ``arrive`` hands to ``admit``.
+                horizon = heap[0][0] if heap else math.inf
+                width = len(serving)
+                queues = [shards[j].queue for j in serving]
+                queued = sum(len(queue) for queue in queues)
+                while arr_ptr < n_arrivals and arr_times[arr_ptr] <= horizon:
+                    now = arr_times[arr_ptr]
+                    req_id = arr_ids[arr_ptr]
+                    arr_ptr += 1
+                    if admit is not None \
+                            and not admit(req_id, now, queued, width):
+                        continue
+                    records[req_id] = RequestRecord(
+                        req_id=req_id, arrival_s=now, n_required=width)
+                    entry = (req_id, now)
+                    for queue in queues:
+                        queue.append(entry)
+                    queued += width
+                continue
+            now, _, kind, payload = heapq.heappop(heap)
+            if kind == _DONE:
                 batch = payload
-                state = shards[batch.shard_id]
+                shard_id = batch.shard_id
+                state = shards[shard_id]
                 state.busy = False
                 state.busy_s += batch.service_s
                 state.failures = 0
                 if batch.corrupted:
                     # Unprotected serving: the corrupted answer ships.
-                    fault_log.append(FaultLogEntry(
-                        kind="sdc", shard_id=batch.shard_id,
+                    log(FaultLogEntry(
+                        kind="sdc", shard_id=shard_id,
                         t_s=batch.dispatch_s, duration_s=batch.service_s))
                 for req_id in batch.request_ids:
                     record = records[req_id]
-                    if batch.shard_id in record.shard_done_s:
+                    if shard_id in record.shard_done_s:
                         raise RuntimeError(
                             f"request {req_id} served twice on shard "
-                            f"{batch.shard_id}")
-                    record.shard_done_s[batch.shard_id] = now
+                            f"{shard_id}")
+                    record.shard_done_s[shard_id] = now
                     if batch.corrupted:
-                        record.corrupted_shards.add(batch.shard_id)
+                        record.corrupted_shards.add(shard_id)
                     check_resolved(record, now)
-                maybe_dispatch(batch.shard_id, now)
+                maybe_dispatch(shard_id, now)
+                if on_done is not None:
+                    on_done(shard_id, state, now)
+            elif kind == _TIMER:
+                shard_id, gen = payload
+                if shards[shard_id].gen == gen:
+                    maybe_dispatch(shard_id, now)
+            elif kind == _FAIL:
+                handle_failure(payload, now)
+            elif kind == _WAKE:
+                shards[payload].wake_at = math.inf
+                maybe_dispatch(payload, now)
+            else:
+                assert on_event is not None, f"unknown event kind {kind}"
+                on_event(kind, now, payload)
 
         incomplete = [r.req_id for r in records.values()
                       if r.retrieval_done_s is None]
         if incomplete:  # pragma: no cover - guarded by construction
             raise RuntimeError(f"requests never completed: {incomplete}")
-        ordered_records = tuple(records[req_id]
-                                for req_id in sorted(records))
         return ScheduleResult(
             n_shards=self.n_shards,
             policy=self.policy,
             batches=tuple(batches),
-            records=ordered_records,
+            records=tuple(records[req_id] for req_id in sorted(records)),
             busy_seconds=tuple(state.busy_s for state in shards),
             fault_log=tuple(fault_log),
             death_times=death_times,

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.params import APUParams, DEFAULT_PARAMS
 from ..ecc import ECCConfig, ECCModel
@@ -91,6 +91,7 @@ __all__ = [
     "emit_batch_trace",
     "emit_fault_trace",
     "emit_integrity_trace",
+    "stage_recorder",
     "golden_serve_config",
     "golden_fault_config",
     "golden_integrity_config",
@@ -372,12 +373,11 @@ class ServingSimulator:
         self.prefill_s = self.generator.prefill_seconds()
         self.injector = (FaultInjector(config.faults, config.n_shards)
                          if config.faults else None)
-        #: Shard id -> chunks that went dark with it (its slice at death).
+        #: Dead shard id -> chunks that went dark with it (slice at death).
         self._chunks_lost_at_death: Dict[int, int] = {}
         #: Deaths nobody took over (degraded mode, or no survivors):
         #: these chunks stay missing for every later arrival.
         self._permanent_loss: Dict[int, int] = {}
-        self._dead_shards: set = set()
         #: Causal record of the last telemetry run (monitor input).
         self._last_result: Optional[ScheduleResult] = None
         if config.engine == "vectorized":
@@ -399,11 +399,10 @@ class ServingSimulator:
     # ------------------------------------------------------------------
     def _on_shard_death(self, shard_id: int, t_s: float) -> None:
         """Failover hook: apply the configured policy to a shard death."""
-        self._dead_shards.add(shard_id)
         lost = self.service_model.chunk_counts[shard_id]
         self._chunks_lost_at_death[shard_id] = lost
         live = [i for i in range(self.config.n_shards)
-                if i not in self._dead_shards]
+                if i not in self._chunks_lost_at_death]
         if self.config.failover == "reroute" and live:
             self.service_model.apply_takeover(shard_id, live)
         else:
@@ -543,23 +542,9 @@ class ServingSimulator:
             return report, result, list(self.scheduler.captured_tables)
 
         orig = self.scheduler.service_time
-        # Stage decompositions only change when a takeover enlarges a
-        # shard's slice, so memoizing keeps the in-loop collection cost
-        # to a dict probe per dispatch.
-        memo: Dict[Tuple[int, int, int], StageTable] = {}
-
-        def recording_service_time(shard_id: int, batch_size: int) -> float:
-            seconds = orig(shard_id, batch_size)
-            key = (shard_id, batch_size, model.resident_counts[shard_id])
-            table = memo.get(key)
-            if table is None:
-                table = memo[key] = StageTable(
-                    shard_id=shard_id, batch_size=batch_size,
-                    stages=model.stage_seconds(shard_id, batch_size))
-            tables.append(table)
-            return seconds
-
-        self.scheduler.service_time = recording_service_time
+        self.scheduler.service_time = stage_recorder(
+            orig, lambda shard_id: model.resident_counts[shard_id],
+            model.costs, tables)
         try:
             report, result = self._simulate(requests)
         finally:
@@ -577,7 +562,6 @@ class ServingSimulator:
             self.service_model.reset()
             self._chunks_lost_at_death.clear()
             self._permanent_loss.clear()
-            self._dead_shards.clear()
         result = self.scheduler.run(requests)
         self._emit_trace(result)
 
@@ -660,6 +644,39 @@ class ServingSimulator:
             emit_integrity_trace(trace, result, clock, self.config.faults,
                                  self.config.integrity, self.params,
                                  self.config.n_shards)
+
+
+def stage_recorder(service_time: Callable[[int, int], float],
+                   slice_of: Callable[[int], int], costs: SliceCostModel,
+                   tables: List[Any]) -> Callable[[int, int], float]:
+    """Pass-through wrapper on a ``service_time(shard_id, batch_size)``
+    callable that appends each dispatch's stage decomposition to
+    ``tables`` (one :class:`~repro.telemetry.build.StageTable` per
+    batch).
+
+    ``slice_of(shard_id)`` is the chunk count the shard scans at that
+    instant.  Decompositions only change when a takeover or a topology
+    change resizes a slice, so memoizing them keeps the in-loop
+    collection cost to a dict probe per dispatch.  The static and the
+    elastic simulator both capture through it.
+    """
+    from ..telemetry.build import StageTable
+
+    memo: Dict[Tuple[int, int, int], StageTable] = {}
+
+    def recording_service_time(shard_id: int, batch_size: int) -> float:
+        seconds = service_time(shard_id, batch_size)
+        count = slice_of(shard_id)
+        key = (shard_id, batch_size, count)
+        table = memo.get(key)
+        if table is None:
+            table = memo[key] = StageTable(
+                shard_id=shard_id, batch_size=batch_size,
+                stages=costs.stage_seconds(count, batch_size))
+        tables.append(table)
+        return seconds
+
+    return recording_service_time
 
 
 def emit_batch_trace(trace, batches: Sequence[ExecutedBatch],

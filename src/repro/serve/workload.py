@@ -21,7 +21,7 @@ Arrival processes driving the discrete-event schedulers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List
+from typing import Callable, Iterable, List, Sequence, Type, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "ClosedLoopConfig",
     "poisson_arrival_times",
     "poisson_arrivals",
+    "check_arrival_times",
     "trace_arrivals",
     "bursty_arrival_times",
     "diurnal_arrival_times",
@@ -128,15 +129,33 @@ def poisson_arrivals(qps: float, n_requests: int,
             for i, t in enumerate(times)]
 
 
+def check_arrival_times(times_s: Union[Sequence[float], np.ndarray],
+                        error: Type[ValueError] = WorkloadConfigError
+                        ) -> None:
+    """Reject an arrival trace a simulation cannot replay.
+
+    The trace must be non-empty, and every timestamp finite,
+    non-negative and no earlier than the one before it.  The message
+    names the first offending index; ``error`` is the exception type
+    raised.
+    """
+    times = np.asarray(times_s, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise error("arrival trace must be a non-empty 1-d sequence")
+    for message, bad in (
+            ("finite", ~np.isfinite(times)),
+            ("non-negative", times < 0),
+            ("sorted ascending", np.r_[False, times[1:] < times[:-1]])):
+        if bad.any():
+            index = int(np.argmax(bad))
+            raise error(f"arrival times must be {message}, got "
+                        f"{float(times[index])!r} at index {index}")
+
+
 def trace_arrivals(times_s: Iterable[float]) -> List[Request]:
-    """Replay explicit arrival timestamps (must be sorted, non-negative)."""
+    """Replay explicit arrival timestamps (see :func:`check_arrival_times`)."""
     times = [float(t) for t in times_s]
-    if not times:
-        raise ValueError("arrival trace must contain at least one request")
-    if any(t < 0 for t in times):
-        raise ValueError("arrival times must be non-negative")
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("arrival times must be sorted ascending")
+    check_arrival_times(times)
     return [Request(req_id=i, arrival_s=t) for i, t in enumerate(times)]
 
 

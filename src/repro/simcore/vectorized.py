@@ -67,8 +67,9 @@ from ..serve.scheduler import (
     ScheduleResult,
     charge_failure,
     judge_attempt,
+    ordered_requests,
 )
-from ..serve.workload import Request
+from ..serve.workload import Request, check_arrival_times
 from .arrays import ArraySchedule
 
 __all__ = ["VectorizedScheduler"]
@@ -622,14 +623,7 @@ class VectorizedScheduler(DiscreteEventScheduler):
     # -- public API ----------------------------------------------------
     def run(self, requests: Sequence[Request]) -> ScheduleResult:
         """Run to completion; bit-identical to the scalar scheduler."""
-        if not requests:
-            raise ValueError("at least one request is required")
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-        seen: Set[int] = set()
-        for request in ordered:
-            if request.req_id in seen:
-                raise ValueError(f"duplicate req_id {request.req_id}")
-            seen.add(request.req_id)
+        ordered = ordered_requests(requests)
         arrivals = np.asarray([r.arrival_s for r in ordered],
                               dtype=np.float64)
         req_ids = np.asarray([r.req_id for r in ordered], dtype=np.int64)
@@ -654,19 +648,16 @@ class VectorizedScheduler(DiscreteEventScheduler):
         """Columnar fast path over a sorted arrival-time array.
 
         Fault-free only (an attached injector needs the event-faithful
-        path -- call :meth:`run`).  ``arrival_s`` must be sorted
-        ascending and non-negative; ``req_ids`` defaults to positional.
+        path -- call :meth:`run`).  ``arrival_s`` must pass
+        :func:`~repro.serve.workload.check_arrival_times`; ``req_ids``
+        defaults to positional.
         """
         if self.injector is not None:
             raise ValueError(
                 "run_arrays supports fault-free runs only; "
                 "use run() when a FaultInjector is attached")
         arrivals = np.ascontiguousarray(arrival_s, dtype=np.float64)
-        if arrivals.ndim != 1 or arrivals.size == 0:
-            raise ValueError("arrival_s must be a non-empty 1-d array")
-        if float(arrivals[0]) < 0 or bool(np.any(np.diff(arrivals) < 0)):
-            raise ValueError(
-                "arrival times must be sorted ascending and non-negative")
+        check_arrival_times(arrivals)
         if req_ids is None:
             req_ids = np.arange(arrivals.size, dtype=np.int64)
         self._svc_cache.clear()

@@ -41,8 +41,6 @@ from repro.serve.simulator import ServingSimulator, golden_ecc_config, \
     golden_fault_config, golden_integrity_config, golden_serve_config
 from repro.telemetry import render_attribution, render_spans_report
 
-pytestmark = pytest.mark.scale
-
 CONFIGS = {
     "serve": golden_serve_config,
     "faults": golden_fault_config,

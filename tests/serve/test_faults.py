@@ -398,7 +398,9 @@ class TestValidation:
         dict(backoff_cap_s=math.inf),
     ])
     def test_retry_policy_rejects_nonpositive_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+        match = "> 0, or inf for no timeout" if "timeout_s" in kwargs \
+            else None
+        with pytest.raises(ValueError, match=match):
             RetryPolicy(**kwargs)
 
     def test_scheduler_rejects_mismatched_injector(self):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve.scheduler import BatchPolicy, DiscreteEventScheduler
-from repro.serve.workload import trace_arrivals
+from repro.serve.workload import Request, trace_arrivals
 
 #: Slack for float comparisons on *derived* bounds (sums of different
 #: orderings); same-expression comparisons in the scheduler are exact.
@@ -141,6 +141,33 @@ class TestSchedulerEdges:
         assert first.request_ids == (0,)
         assert second.request_ids == (1, 2, 3, 4)
         assert second.dispatch_s == pytest.approx(first.complete_s)
+
+    def test_arrival_goes_before_events_at_the_same_instant(self):
+        """Arrivals are merged in ahead of every heap event stamped with
+        the same time."""
+        # An arrival exactly on the head's max-wait deadline joins the
+        # head's batch: it is handled before the max-wait timer.
+        policy = BatchPolicy(max_batch=8, max_wait_s=0.5)
+        scheduler = DiscreteEventScheduler(1, policy, make_service(1e-3, 0))
+        (batch,) = scheduler.run(trace_arrivals([0.0, 0.5])).batches
+        assert batch.request_ids == (0, 1)
+        assert batch.dispatch_s == 0.5
+        # An arrival exactly at a batch completion is queued before the
+        # completion re-dispatches, so it rides the next batch.
+        policy = BatchPolicy(max_batch=8, max_wait_s=0.0)
+        scheduler = DiscreteEventScheduler(1, policy, make_service(0.5, 0))
+        first, second = scheduler.run(
+            trace_arrivals([0.0, 0.25, 0.5])).batches
+        assert first.request_ids == (0,) and first.complete_s == 0.5
+        assert second.request_ids == (1, 2)
+        assert second.dispatch_s == 0.5
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, bad):
+        scheduler = DiscreteEventScheduler(1, BatchPolicy(),
+                                           make_service(1e-3, 0))
+        with pytest.raises(ValueError, match="request 1 has a non-finite"):
+            scheduler.run([Request(0, 0.0), Request(1, bad)])
 
     def test_invalid_policy_rejected(self):
         for bad in (0, -3, 1.5, True):

@@ -1,7 +1,12 @@
 """Tests for the serving simulator: reports, traces, validation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.obs import LANE_HBM, collecting
 from repro.rag.corpus import PAPER_CORPORA
 from repro.serve import (
@@ -12,6 +17,22 @@ from repro.serve import (
     poisson_arrivals,
     trace_arrivals,
 )
+
+_NAN_ARRIVAL_SCRIPT = """\
+import dataclasses
+from repro.serve import Request, ServingSimulator, golden_serve_config
+
+config = dataclasses.replace(golden_serve_config(), engine="vectorized")
+simulator = ServingSimulator(config)
+requests = [Request(0, 0.001), Request(1, float("nan")), Request(2, 0.002)]
+for run in (lambda: simulator.run(requests),
+            lambda: simulator.scheduler.run_arrays(
+                [0.0, 1e-3, float("nan"), 3e-3])):
+    try:
+        run()
+    except ValueError as exc:
+        print(exc)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +161,28 @@ class TestValidation:
             trace_arrivals([-1.0, 0.0])
         with pytest.raises(ValueError):
             trace_arrivals([2.0, 1.0])
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError,
+                               match="finite, got .* at index 1"):
+                trace_arrivals([0.001, bad, 0.002])
+
+    def test_nan_arrival_fails_fast_on_the_vectorized_engine(self):
+        """A NaN arrival once hung the vectorized engine, through both
+        ``run`` and ``run_arrays``; each must now end in a ValueError
+        well inside a wall budget (run in a child so a hang cannot
+        stall the suite)."""
+        src_dir = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH", "")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _NAN_ARRIVAL_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "request 1 has a non-finite arrival time nan",
+            "arrival times must be finite, got nan at index 2"]
 
     def test_bad_config_rejected(self):
         spec = PAPER_CORPORA["10GB"]
