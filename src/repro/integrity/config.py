@@ -11,6 +11,7 @@ simulator-only VCU issue overhead) automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -67,10 +68,10 @@ class IntegrityConfig:
                 f"got {self.max_recomputes!r}")
         if not isinstance(self.scrub_interval_s, (int, float)) \
                 or isinstance(self.scrub_interval_s, bool) \
-                or self.scrub_interval_s < 0.0:
+                or not 0.0 <= self.scrub_interval_s < math.inf:
             raise ValueError(
-                f"scrub_interval_s must be a non-negative number, "
-                f"got {self.scrub_interval_s!r}")
+                f"scrub_interval_s must be a finite number >= 0 "
+                f"(0 disables scrubbing), got {self.scrub_interval_s!r}")
         if not isinstance(self.scrub_vrs, int) \
                 or isinstance(self.scrub_vrs, bool) or self.scrub_vrs < 1:
             raise ValueError(

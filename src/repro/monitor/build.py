@@ -63,6 +63,10 @@ MONITOR_PREFIX = "repro_monitor_"
 #: TTI quantiles streamed from the cumulative sketch.
 _QUANTILES = (50.0, 95.0, 99.0)
 
+#: Longest cadence ladder :func:`sample_instants` builds; every
+#: instant becomes a point of every series.
+_MAX_INSTANTS = 10 ** 6
+
 
 def sample_instants(horizon_s: float, cadence_s: float,
                     extra: Sequence[float] = ()) -> Tuple[float, ...]:
@@ -74,10 +78,19 @@ def sample_instants(horizon_s: float, cadence_s: float,
     ladder instants when the cadence equals the control interval.  The
     ladder always extends one step past the horizon so the final
     sample is a complete end-of-run reading.  ``extra`` instants
-    (recorded ticks) are merged with exact-float dedup.
+    (recorded ticks) are merged with exact-float dedup.  A cadence
+    that would need more than ``_MAX_INSTANTS`` instants is rejected
+    before the ladder is built.
     """
-    if cadence_s <= 0:
-        raise ValueError(f"cadence_s must be positive, got {cadence_s!r}")
+    if not 0.0 < cadence_s < math.inf:
+        raise ValueError(
+            f"cadence_s must be finite and positive, got {cadence_s!r}")
+    count = horizon_s / cadence_s
+    if not count <= _MAX_INSTANTS:
+        raise ValueError(
+            f"cadence_s={cadence_s!r} over a {horizon_s!r} s horizon "
+            f"needs {count:.3g} sampling instants, more than "
+            f"{_MAX_INSTANTS}; use a coarser cadence")
     instants: List[float] = []
     t = 0.0
     while t < horizon_s:

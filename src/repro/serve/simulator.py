@@ -436,14 +436,13 @@ class ServingSimulator:
         """Simulate and derive request-level causal telemetry.
 
         Returns ``(report, telemetry)`` where the report is **bit-
-        identical** to :meth:`run` on the same stream: the only
-        instrumentation inside the event loop is a pass-through wrapper
-        on the service-time callable that records each dispatch's stage
-        decomposition (one :class:`~repro.telemetry.build.StageTable`
-        per executed batch, captured against the service model's state
-        at that instant, so takeover re-anchors are honored); span
-        trees, critical paths, and the metrics registry are all derived
-        after the run from the scheduler's causal record.
+        identical** to :meth:`run` on the same stream.  Each executed
+        batch gets its stage decomposition (one
+        :class:`~repro.telemetry.build.StageTable`, against the
+        placement it ran on, so takeover re-anchors are honored; see
+        :meth:`_simulate_capturing`); span trees, critical paths, and
+        the metrics registry are all derived after the run from the
+        scheduler's causal record.
         """
         from ..telemetry.build import RunTelemetry, build_run_telemetry
 
@@ -511,35 +510,32 @@ class ServingSimulator:
 
     def _simulate_capturing(self, requests: Optional[Sequence[Request]]
                             = None):
-        """Simulate with the in-loop stage capture (no span build).
+        """Simulate and record one stage table per batch (no span build).
 
-        The telemetry *collection* cost lives here: a pass-through
-        wrapper on the service-time callable records one stage table
-        per dispatched batch.  Split out so the overhead benchmark can
-        time collection separately from the post-hoc trace build.
+        Without faults the placement never changes, so on either engine
+        the tables are built after the run from the batch list, one per
+        ``(shard, batch size)``.  A fault run wraps the service-time
+        callable instead (:func:`stage_recorder`), so each table is
+        taken at dispatch and honors takeover re-anchors.  Split out so
+        the overhead benchmark can time collection separately from the
+        post-hoc trace build.
         """
         from ..telemetry.build import StageTable
 
-        tables: List[StageTable] = []
         model = self.service_model
-
-        if self.config.engine == "vectorized":
-            # The vectorized core memoizes service costs, so a
-            # per-dispatch wrapper would under-count: it exposes a
-            # native capture hook instead, invoked once per (shard,
-            # size) per failover epoch and emitted in global batch
-            # order -- the same tables the wrapper records.
-            def capture(shard_id: int, batch_size: int) -> StageTable:
-                return StageTable(
-                    shard_id=shard_id, batch_size=batch_size,
-                    stages=model.stage_seconds(shard_id, batch_size))
-
-            self.scheduler.capture = capture
-            try:
-                report, result = self._simulate(requests)
-            finally:
-                self.scheduler.capture = None
-            return report, result, list(self.scheduler.captured_tables)
+        tables: List[StageTable] = []
+        if self.injector is None:
+            report, result = self._simulate(requests)
+            memo: Dict[Tuple[int, int], StageTable] = {}
+            for batch in result.batches:
+                key = (batch.shard_id, batch.batch_size)
+                table = memo.get(key)
+                if table is None:
+                    table = memo[key] = StageTable(
+                        shard_id=key[0], batch_size=key[1],
+                        stages=model.stage_seconds(*key))
+                tables.append(table)
+            return report, result, tables
 
         orig = self.scheduler.service_time
         self.scheduler.service_time = stage_recorder(
@@ -657,8 +653,8 @@ def stage_recorder(service_time: Callable[[int, int], float],
     ``slice_of(shard_id)`` is the chunk count the shard scans at that
     instant.  Decompositions only change when a takeover or a topology
     change resizes a slice, so memoizing them keeps the in-loop
-    collection cost to a dict probe per dispatch.  The static and the
-    elastic simulator both capture through it.
+    collection cost to a dict probe per dispatch.  Static fault runs
+    and elastic runs capture through it.
     """
     from ..telemetry.build import StageTable
 

@@ -9,7 +9,8 @@ Two execution backends produce a :class:`~repro.serve.scheduler.ScheduleResult`
 * ``"vectorized"`` -- :class:`~repro.simcore.vectorized.VectorizedScheduler`,
   which batch-evaluates independent per-shard timelines with NumPy and
   reconstructs the global event order from push keys.  Validated
-  bit-identical against the scalar core by ``tests/simcore``.
+  bit-identical against the scalar core by ``tests/simcore``.  Faults
+  run the scalar loop: with a fault plan both engines are one loop.
 
 This module owns only the names and the validation so that config and
 CLI layers can import it without pulling in the heavy backends.

@@ -171,6 +171,8 @@ class TestConfigAndCosts:
         dict(enabled="yes"),
         dict(max_recomputes=0),
         dict(scrub_interval_s=-1.0),
+        dict(scrub_interval_s=float("nan")),
+        dict(scrub_interval_s=float("inf")),
         dict(scrub_vrs=0),
     ])
     def test_config_validation(self, kwargs):

@@ -1,9 +1,14 @@
 """Builder semantics: sampling rules, instants, and input validation."""
 
 import dataclasses
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.monitor import (
     MonitorError,
     RunMonitor,
@@ -44,8 +49,52 @@ def test_sample_instants_matches_tick_recurrence_bitwise():
 
 def test_sample_instants_empty_run_and_validation():
     assert sample_instants(0.0, 0.010) == (0.010,)
-    with pytest.raises(ValueError):
-        sample_instants(1.0, 0.0)
+    for bad in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match="cadence_s must be finite and positive"):
+            sample_instants(1.0, bad)
+
+
+def test_nan_cadence_is_named_by_the_monitor():
+    """A NaN cadence once passed the sign check and failed later on a
+    ``window_s`` the caller never set."""
+    sim = ServingSimulator(dataclasses.replace(golden_serve_config(),
+                                               n_requests=64))
+    with pytest.raises(ValueError,
+                       match="cadence_s must be finite and positive"):
+        sim.run_with_monitor(cadence_s=float("nan"))
+
+
+_TINY_CADENCE_SCRIPT = """
+import dataclasses
+from repro.serve.simulator import ServingSimulator, golden_serve_config
+sim = ServingSimulator(dataclasses.replace(golden_serve_config(),
+                                           n_requests=64))
+try:
+    sim.run_with_monitor(cadence_s=1e-9)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_tiny_cadence_fails_fast():
+    """A 1e-9 s cadence on a 64-request run once built a ~1e9-instant
+    ladder until memory ran out; it must now end in a ValueError that
+    names the cadence, the horizon and the count, well inside a wall
+    budget (run in a child so a runaway cannot stall the suite)."""
+    src_dir = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH", "")) if p)
+    proc = subprocess.run([sys.executable, "-c", _TINY_CADENCE_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(
+        r"cadence_s=1e-09 over a \S+ s horizon needs \S+ sampling "
+        r"instants, more than 1000000; use a coarser cadence\n",
+        proc.stdout), proc.stdout
 
 
 def test_sample_instants_merges_extra():

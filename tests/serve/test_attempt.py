@@ -1,9 +1,9 @@
 """Unit pins for the shared per-attempt fault semantics.
 
 ``judge_attempt`` and ``charge_failure`` are the one copy of the
-verdict and retry bookkeeping the scalar scheduler, the vectorized core
-and the elastic loop all call; these tests pin them directly, without
-an event loop around them.
+verdict and retry bookkeeping, called by the one scalar event loop
+that static and elastic runs on either engine share; these tests pin
+them directly, without an event loop around them.
 """
 
 import pytest

@@ -19,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.scheduler import BatchPolicy, DiscreteEventScheduler
-from repro.serve.workload import Request, trace_arrivals
+from repro.faults import FaultInjector, FaultPlan, OutageFault
+from repro.serve.scheduler import BatchPolicy, DiscreteEventScheduler, \
+    RetryPolicy
+from repro.serve.workload import Request, poisson_arrivals, trace_arrivals
 
 #: Slack for float comparisons on *derived* bounds (sums of different
 #: orderings); same-expression comparisons in the scheduler are exact.
@@ -196,3 +198,61 @@ class TestSchedulerEdges:
                                            lambda s, b: 0.0)
         with pytest.raises(ValueError):
             scheduler.run(trace_arrivals([0.0]))
+
+
+class TestDeathOrdering:
+    """Where in the event order a shard death lands (scalar pins)."""
+
+    def test_death_observed_by_arrival_inside_backoff(self):
+        """A batch is interrupted one ulp *before* a permanent outage
+        opens, so the failure handler arms a retry backoff instead of
+        declaring death; the next arrival then lands inside the backoff
+        window with the shard permanently down.  The down-check
+        precedes the blocked-check, so the shard dies at that arrival's
+        instant -- not at the backoff wake.  Hypothesis-found
+        (fault_seed=1057)."""
+        policy = BatchPolicy(max_batch=3, max_wait_s=5e-4)
+        requests = poisson_arrivals(800.0, 63, 3)
+        horizon = requests[-1].arrival_s + 0.05
+        plan = FaultPlan.random(1057, 1, horizon, stall_rate=1.0,
+                                outage_rate=0.5, permanent_fraction=0.25)
+        retry = RetryPolicy(timeout_s=0.004, max_retries=1,
+                            backoff_base_s=5e-4, backoff_cap_s=4e-3)
+        result = DiscreteEventScheduler(
+            1, policy, lambda s, b: (2.3 + 0.03 * (b - 1)) * 1e-3,
+            injector=FaultInjector(plan, 1), retry=retry).run(requests)
+        [outage] = plan.outages
+        [death_s] = result.death_times.values()
+        backoff = next(e for e in result.fault_log if e.kind == "backoff")
+        assert result.batches[-1].complete_s < outage.start_s
+        assert backoff.t_s < death_s < backoff.t_s + backoff.duration_s
+        assert death_s in {r.arrival_s for r in requests}
+
+    def test_death_lands_after_the_fanout_dispatches(self):
+        """A permanent outage is observed by the lone request's arrival.
+        Shards 0 and 1 dispatch inside the same fan-out loop *before*
+        shard 2's death runs failover, so they price their batches on
+        the pre-reroute service model even though they dispatch at
+        exactly the death time."""
+        seconds = [1e-3, 1e-3, 1e-3]
+
+        def reroute(dead, t_s):
+            del t_s
+            for shard_id in range(len(seconds)):
+                if shard_id != dead:
+                    seconds[shard_id] *= 1.5
+
+        plan = FaultPlan(outages=(OutageFault(shard_id=2, start_s=0.01),))
+        result = DiscreteEventScheduler(
+            3, BatchPolicy(max_batch=1, max_wait_s=0.0),
+            lambda shard_id, _size: seconds[shard_id],
+            injector=FaultInjector(plan, 3), on_death=reroute,
+        ).run(trace_arrivals([0.02]))
+        assert result.death_times == {2: 0.02}
+        assert [(b.shard_id, b.dispatch_s, b.service_s)
+                for b in result.batches] == [(0, 0.02, 1e-3),
+                                             (1, 0.02, 1e-3)]
+        assert seconds == [1.5e-3, 1.5e-3, 1e-3]
+        [record] = result.records
+        assert record.failed_shards == {2}
+        assert record.n_required == 3

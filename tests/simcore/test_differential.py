@@ -6,20 +6,25 @@ Three layers of evidence, from cheapest to broadest:
    the chaos plan, the SDC plan) run under both engines; reports,
    collected trace-event streams, span trees, critical paths, and the
    exposed metrics registry must compare *equal* -- no tolerances.
-2. **Scheduler-level hypothesis sweeps.**  Random arrival streams,
+2. **Scheduler-level hypothesis sweep.**  Random arrival streams,
    batch policies, shard counts, and synthetic service models drive
-   both schedulers directly; the full :class:`ScheduleResult` (batches,
-   records, busy seconds, fault log, death times) must match, with and
-   without randomized fault / bit-flip plans.
+   both schedulers directly with no faults; the full
+   :class:`ScheduleResult` (batches, records, busy seconds) must match.
 3. **Simulator-level hypothesis sweep.**  Whole ``ServeConfig``
    deployments (anchored service models, failover, integrity,
    telemetry on or off) compared end to end.
 
+A fault plan makes the vectorized engine run the scalar loop, so the
+fault and bit-flip cases of layers 1 and 3 prove that routing: the
+``vectorized`` engine with a plan reports the same telemetry as the
+``scalar`` one.  The scalar loop's own fault ordering is pinned in
+``tests/serve/test_scheduler.py``.
+
 Cross-shard ties at the exact same float64 instant are not hypothetical
 -- different per-shard service sums really do round to the same double
-under these sweeps -- and they are resolved exactly (lineage tokens in
-the fault path, heap-tie repair in the fault-free merge), so every
-assertion here is strict equality with no tolerance.
+under these sweeps -- and the fault-free merge resolves them exactly
+(heap-tie repair), so every assertion here is strict equality with no
+tolerance.
 """
 
 import dataclasses
@@ -28,7 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, FaultPlan, OutageFault, StallFault
+from repro.faults import FaultPlan
 from repro.obs.collector import collecting
 from repro.rag.corpus import PAPER_CORPORA
 from repro.serve import (
@@ -147,73 +152,6 @@ def test_heap_tie_across_unequal_histories():
     _assert_results_equal(res_s, res_v)
 
 
-def test_death_observed_by_arrival_inside_backoff():
-    """A batch is interrupted one ulp *before* a permanent outage
-    opens, so the failure handler arms a retry backoff instead of
-    declaring death; the next arrival then lands inside the backoff
-    window with the shard permanently down.  The scalar loop's
-    down-check precedes its blocked-check, so the shard dies at that
-    arrival's instant -- not at the backoff wake.  Hypothesis-found
-    (fault_seed=1057); exercises the in-backoff arrival scan in the
-    vectorized idle chain."""
-    policy = BatchPolicy(max_batch=3, max_wait_s=5e-4)
-    requests = poisson_arrivals(800.0, 63, 3)
-    horizon = requests[-1].arrival_s + 0.05
-    plan = FaultPlan.random(1057, 1, horizon, stall_rate=1.0,
-                            outage_rate=0.5, permanent_fraction=0.25)
-    retry = RetryPolicy(timeout_s=0.004, max_retries=1,
-                        backoff_base_s=5e-4, backoff_cap_s=4e-3)
-    service = _synthetic_service(base_ms=2.3, inc_ms=0.03)
-    res_s = DiscreteEventScheduler(
-        1, policy, service, injector=FaultInjector(plan, 1),
-        retry=retry).run(requests)
-    res_v = VectorizedScheduler(
-        1, policy, service, injector=FaultInjector(plan, 1),
-        retry=retry).run(requests)
-    _assert_results_equal(res_s, res_v)
-    # the death lands at the in-backoff arrival, not the backoff wake
-    [death_s] = res_s.death_times.values()
-    assert death_s in {r.arrival_s for r in requests}
-
-
-def test_death_barrier_splits_simultaneous_fanout():
-    """A permanent outage is observed by the lone request's arrival:
-    shards 0 and 1 dispatch inside the same fan-out loop *before*
-    shard 2's death invokes failover, so they must use the
-    pre-reroute service model even though they dispatch at exactly
-    the death time.  Exercises the keyed (mid-event) epoch barrier."""
-    plan = FaultPlan(
-        stalls=(
-            StallFault(shard_id=0, start_s=0.04322286998466605,
-                       duration_s=0.01251921009392791,
-                       slowdown=7.561716323056281),
-            StallFault(shard_id=1, start_s=0.02907513023884803,
-                       duration_s=0.005025113961525017,
-                       slowdown=1.978276876118391),
-            StallFault(shard_id=1, start_s=0.044133836112604984,
-                       duration_s=0.013052802301521522,
-                       slowdown=4.09307595499895),
-            StallFault(shard_id=2, start_s=0.013082805344495838,
-                       duration_s=0.015492135951751713,
-                       slowdown=4.891689205986793),
-        ),
-        outages=(
-            OutageFault(shard_id=2, start_s=0.011644599526918953,
-                        duration_s=float("inf"), recovery_s=0.0,
-                        recovery_slowdown=1.0),
-        ),
-    )
-    config = ServeConfig(
-        spec=PAPER_CORPORA["10GB"], n_shards=3,
-        batch=BatchPolicy(max_batch=1, max_wait_s=0.0),
-        k=5, qps=100.0, n_requests=1, seed=31, slo_s=1.0,
-        faults=plan,
-        retry=RetryPolicy(timeout_s=0.008, max_retries=2,
-                          backoff_base_s=0.001, backoff_cap_s=0.008),
-    )
-    _assert_configs_agree(config, with_telemetry=False)
-
-
 @settings(deadline=None, max_examples=60)
 @given(scenario=scheduler_scenarios())
 def test_schedulers_agree_fault_free(scenario):
@@ -221,39 +159,6 @@ def test_schedulers_agree_fault_free(scenario):
     requests = poisson_arrivals(qps, n_requests, seed)
     res_s = DiscreteEventScheduler(n_shards, policy, service).run(requests)
     res_v = VectorizedScheduler(n_shards, policy, service).run(requests)
-    _assert_results_equal(res_s, res_v)
-
-
-@pytest.mark.simcore
-@settings(deadline=None, max_examples=100,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(scenario=scheduler_scenarios(),
-       fault_seed=st.integers(min_value=0, max_value=2**16),
-       with_flips=st.booleans(),
-       protected=st.booleans(),
-       max_retries=st.integers(min_value=0, max_value=3))
-def test_schedulers_agree_under_faults(scenario, fault_seed, with_flips,
-                                       protected, max_retries):
-    n_shards, policy, qps, n_requests, seed, service = scenario
-    requests = poisson_arrivals(qps, n_requests, seed)
-    horizon = requests[-1].arrival_s + 0.05
-    plan = FaultPlan.random(fault_seed, n_shards, horizon,
-                            stall_rate=1.0, outage_rate=0.5,
-                            permanent_fraction=0.25)
-    if with_flips:
-        plan = plan.merged_with(FaultPlan.random_bit_flips(
-            fault_seed + 1, n_shards, horizon, flip_rate=1.5))
-    retry = RetryPolicy(timeout_s=0.004, max_retries=max_retries,
-                        backoff_base_s=5e-4, backoff_cap_s=4e-3)
-
-    res_s = DiscreteEventScheduler(
-        n_shards, policy, service,
-        injector=FaultInjector(plan, n_shards), retry=retry,
-        protected=protected).run(requests)
-    res_v = VectorizedScheduler(
-        n_shards, policy, service,
-        injector=FaultInjector(plan, n_shards), retry=retry,
-        protected=protected).run(requests)
     _assert_results_equal(res_s, res_v)
 
 
@@ -308,7 +213,6 @@ def serve_configs(draw):
     return ServeConfig(**kwargs), draw(st.booleans())
 
 
-@pytest.mark.simcore
 @settings(deadline=None, max_examples=48,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
