@@ -4,8 +4,8 @@ The telemetry layer (:mod:`repro.telemetry`) answers "*why was this
 request slow*" with end-of-run aggregates; this package answers "*how
 did the run evolve*": a deterministic streaming view sampled on a
 fixed simulated-time cadence (and on every autoscaler control tick)
-recording rolling throughput, TTI quantiles via a mergeable
-:class:`~repro.monitor.sketch.QuantileSketch`, per-class SLO burn,
+recording rolling throughput, TTI quantiles via the registry's own
+:class:`~repro.telemetry.metrics.QuantileSketch`, per-class SLO burn,
 pool size, queue depths, shed/retry/failover counters, HBM bytes, and
 integrity/ECC verdict counters.
 
@@ -15,9 +15,9 @@ are byte-identical to unmonitored ones and both engines produce
 bit-identical series -- properties the differential suite in
 ``tests/monitor`` pins.  The autoscaler's
 :class:`~repro.scale.controller.BurnRateController` reads its trailing
-windows from the same :class:`~repro.monitor.signal.BurnSignal` the
-series builder replays, so the control plane and the observatory
-provably see one signal.
+windows and its overdue backlog from the same
+:class:`~repro.monitor.signal.BurnSignal` the series builder replays,
+so the control plane and the observatory provably see one signal.
 
 Exports: OpenMetrics-style scrape text (:mod:`.openmetrics`, a strict
 superset of the PR 6 registry exposition), Perfetto counter tracks
@@ -28,6 +28,7 @@ bundles with a cross-run regression differ (:mod:`.bundle`,
 (:mod:`.tolerance`).
 """
 
+from ..telemetry.metrics import QuantileSketch, SketchError
 from .build import (
     DEFAULT_CADENCE_S,
     MONITOR_PREFIX,
@@ -47,7 +48,6 @@ from .diff import BundleDiff, MetricDelta, diff_bundles, diff_metrics, format_di
 from .openmetrics import openmetrics_text
 from .series import MonitorError, RunMonitor, Series
 from .signal import BurnSignal
-from .sketch import QuantileSketch, SketchError
 
 __all__ = [
     "BundleDiff",

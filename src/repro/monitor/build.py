@@ -27,11 +27,13 @@ Two sampling rules, pinned by regression tests on both engines:
   the final sample -- taken at or past the horizon -- provably equals
   the end-of-run registry value.
 
-At recorded tick instants the per-class burn series takes the
-controller's own reading (``ScaleAction.class_burns``, written by the
-elastic loop from the shared :class:`~repro.monitor.signal.BurnSignal`);
-between ticks, and for static runs, the builder replays a twin
-``BurnSignal`` over the completion record.
+The per-class burn series replays the controller's own
+:class:`~repro.monitor.signal.BurnSignal` over the causal record --
+admissions in arrival order, completions as each instant passes them --
+in memory linear in the run.  At recorded tick instants it keeps the
+controller's reading (``ScaleAction.class_burns``), which the replay
+reproduces.  The TTI quantiles stream from the registry's own
+:class:`~repro.telemetry.metrics.QuantileSketch`.
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ import bisect
 import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..telemetry.metrics import QuantileSketch
 from .series import RunMonitor, Series
 from .signal import BurnSignal
-from .sketch import QuantileSketch
 
 __all__ = [
     "DEFAULT_CADENCE_S",
@@ -125,29 +125,6 @@ def _step_value(steps: Sequence[Tuple[float, float]], initial: float,
         else:
             break
     return value
-
-
-def _scan_quantiles(sketch: QuantileSketch,
-                    ranks: Sequence[int]) -> List[float]:
-    """All quantile answers in one cumulative pass (ranks ascending).
-
-    Same smallest-boundary >= nearest-rank rule as
-    :meth:`QuantileSketch.quantile`, answered for every rank at once.
-    """
-    values: List[float] = []
-    cumulative = 0
-    index = 0
-    for bound, n in zip(sketch.boundaries, sketch.counts):
-        cumulative += n
-        while index < len(ranks) and cumulative >= ranks[index]:
-            values.append(bound)
-            index += 1
-        if index == len(ranks):
-            break
-    while index < len(ranks):
-        values.append(math.inf)
-        index += 1
-    return values
 
 
 def _cumulative_points(instants: Sequence[float],
@@ -287,65 +264,36 @@ def build_run_monitor(
          / cadence_s)
         for t in instants]
 
-    # -- TTI quantiles from the cumulative mergeable sketch -------------
-    # One cumulative scan answers all three quantiles (the ranks are
-    # ascending with the percentiles), bit-identical to calling
-    # ``sketch.quantile`` per percentile but ~3x cheaper per instant.
+    # -- TTI quantiles and per-class SLO burn ---------------------------
+    # The burn replays the controller's own signal: every record is
+    # admitted in (arrival, id) order and resolved at its completion, so
+    # the replay counts the overdue backlog exactly as the elastic loop
+    # does.  At recorded ticks the series keeps the controller's own
+    # reading anyway: in-loop, an event and a tick at the same instant
+    # may run in either order.
     sketch = QuantileSketch()
     quantile_points: Dict[float, List[Tuple[float, float]]] = {
         q: [] for q in _QUANTILES}
-    ci = 0
-    total = 0
-    for t in instants:
-        while ci < len(completions) and completions[ci][0] <= t:
-            _, req_id = completions[ci]
-            sketch.observe(tti_by_req[req_id])
-            ci += 1
-            total += 1
-        if not total:
-            for q in _QUANTILES:
-                quantile_points[q].append((t, 0.0))
-            continue
-        ranks = [max(1, math.ceil(q / 100.0 * total)) for q in _QUANTILES]
-        values = _scan_quantiles(sketch, ranks)
-        for q, value in zip(_QUANTILES, values):
-            quantile_points[q].append((t, value))
-
-    # -- per-class SLO burn: recorded at ticks, replayed between --------
-    class_of: Dict[int, int] = {}
-    arr_lists: List[List[float]] = [[] for _ in range(n_classes)]
-    done_lists: List[List[float]] = [[] for _ in range(n_classes)]
-    for r in records:
-        cls = int(priorities.get(r.req_id, 0))
-        class_of[r.req_id] = cls
-        arr_lists[cls].append(r.arrival_s)
-        done_lists[cls].append(
-            r.retrieval_done_s if r.retrieval_done_s is not None
-            else np.inf)
-    arr_by_class = [np.asarray(a, dtype=np.float64) for a in arr_lists]
-    done_by_class = [np.asarray(d, dtype=np.float64) for d in done_lists]
-    # One broadcast per class beats a numpy call per instant: the
-    # elementwise comparisons are identical floats either way.
-    ts = np.asarray(instants, dtype=np.float64)
-    overdue_by_instant = [
-        ((ts[:, None] - arr_by_class[cls][None, :] > slo_s)
-         & (done_by_class[cls][None, :] > ts[:, None])).sum(axis=1)
-        if arr_by_class[cls].size
-        else np.zeros(len(instants), dtype=np.int64)
-        for cls in range(n_classes)]
     replay = BurnSignal(cadence_s, slo_s, n_classes)
+    for r in sorted(records, key=lambda r: (r.arrival_s, r.req_id)):
+        replay.note_admission(r.req_id, r.arrival_s,
+                              int(priorities.get(r.req_id, 0)))
     burn_points: List[List[Tuple[float, float]]] = [
         [] for _ in range(n_classes)]
-    bi = 0
+    ci = 0
     for i, t in enumerate(instants):
-        while bi < len(completions) and completions[bi][0] <= t:
-            done_s, req_id = completions[bi]
-            replay.note_completion(done_s, tti_by_req[req_id],
-                                   class_of[req_id])
-            bi += 1
-        overdue = [int(overdue_by_instant[cls][i])
-                   for cls in range(n_classes)]
-        windows = replay.class_windows(i, t, overdue)
+        while ci < len(completions) and completions[ci][0] <= t:
+            done_s, req_id = completions[ci]
+            tti = tti_by_req[req_id]
+            sketch.observe(tti)
+            replay.note_completion(req_id, done_s, tti,
+                                   int(priorities.get(req_id, 0)))
+            ci += 1
+        values = (sketch.quantiles(_QUANTILES) if ci
+                  else [0.0] * len(_QUANTILES))
+        for q, value in zip(_QUANTILES, values):
+            quantile_points[q].append((t, value))
+        windows = replay.class_windows(i, t)
         recorded = tick_burns.get(t)
         for cls in range(n_classes):
             if recorded is not None and cls < len(recorded):

@@ -11,13 +11,14 @@ more capacity; burn at or below ``scale_down_burn`` with the pool quiet
 asks for less.  Decisions honor the pool bounds and a cooldown so the
 controller cannot thrash.
 
-The window bookkeeping itself lives in the shared
-:class:`~repro.monitor.signal.BurnSignal`: the controller feeds a live
-instance in event order and the monitor's series builder replays an
-identical one post-hoc, so the autoscaler and the observatory provably
-see one signal (the elastic loop records the per-class burns on every
-tick action, and the differential suite pins the monitor's samples to
-them bit-for-bit).
+The window bookkeeping itself -- completions, faults and the overdue
+backlog -- lives in the shared
+:class:`~repro.monitor.signal.BurnSignal`: the elastic loop feeds a live
+instance admissions and completions in event order, and the monitor's
+series builder replays an identical one post-hoc, so the autoscaler
+and the observatory provably see one signal (the elastic loop records
+the per-class burns on every tick action, and a test pins the replay
+to them bit-for-bit).
 
 The controller tracks one burn window **per priority class**
 (:meth:`class_windows`) and the elastic loop scales on the *worst*
@@ -30,14 +31,14 @@ shard death immediately -- failover replacement bypasses the cooldown,
 because waiting out a thrash guard while capacity is already gone only
 deepens the burn.
 
-The controller is plain sequential state -- deques of completions and
-a couple of floats -- so the simulation stays bit-deterministic: every
-input it sees is an event-loop timestamp.
+The controller is plain sequential state -- the signal's deques and
+cursor and a couple of floats -- so the simulation stays
+bit-deterministic: every input it sees is an event-loop timestamp.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..monitor.signal import BurnSignal
 from ..telemetry.metrics import BurnWindow
@@ -55,22 +56,19 @@ class BurnRateController:
 
     def __init__(self, policy: AutoscalePolicy, slo_s: float,
                  n_classes: int = 1):
-        if n_classes < 1:
-            raise ValueError(
-                f"n_classes must be >= 1, got {n_classes!r}")
         self.policy = policy
         self.slo_s = slo_s
-        self.n_classes = n_classes
-        #: The shared trailing-window signal (monitor replays a twin).
+        #: The shared burn signal (the monitor replays an identical one).
         self.signal = BurnSignal(
             policy.control_interval_s, slo_s, n_classes)
         self._tick_index = 0
         self._last_action_s = -float("inf")
 
-    def note_completion(self, done_s: float, tti_latency_s: float,
-                        priority: int = 0) -> None:
+    def note_completion(self, req_id: int, done_s: float,
+                        tti_latency_s: float, priority: int = 0) -> None:
         """Record one resolved request (call in completion order)."""
-        self.signal.note_completion(done_s, tti_latency_s, priority)
+        self.signal.note_completion(req_id, done_s, tti_latency_s,
+                                    priority)
 
     def note_fault(self, t_s: float) -> None:
         """Record one fault event (call in event order).
@@ -86,32 +84,26 @@ class BurnRateController:
         """Fault events still inside the last-advanced window."""
         return self.signal.recent_faults()
 
-    def class_windows(self, now_s: float,
-                      overdue_by_class: Sequence[int]
-                      ) -> Tuple[BurnWindow, ...]:
+    def class_windows(self, now_s: float) -> Tuple[BurnWindow, ...]:
         """One trailing control window per priority class.
 
-        ``overdue_by_class[i]`` is class ``i``'s count of admitted,
-        unresolved requests already older than the SLO -- each is a
-        violation the window has effectively observed even though it
-        has no completion timestamp yet.  All class windows of one tick
-        share one index.
+        Admitted, unresolved requests already older than the SLO count
+        as violations the window has effectively observed even though
+        they have no completion timestamp yet.  All class windows of one
+        tick share one index.
         """
         index = self._tick_index
         self._tick_index += 1
-        return self.signal.class_windows(index, now_s, overdue_by_class)
+        return self.signal.class_windows(index, now_s)
 
-    def window(self, now_s: float, n_overdue_pending: int) -> BurnWindow:
+    def window(self, now_s: float) -> BurnWindow:
         """The aggregate trailing control window ending at ``now_s``.
 
         The single-SLO view: every class's counts folded into one
-        window, with the overdue backlog attributed globally.  Kept as
-        the one-class fast path and for callers that predate per-class
-        tracking.
+        window.  Kept as the one-class fast path and for callers that
+        predate per-class tracking.
         """
-        overdue = [0] * self.n_classes
-        overdue[0] = n_overdue_pending
-        windows = self.class_windows(now_s, overdue)
+        windows = self.class_windows(now_s)
         if len(windows) == 1:
             return windows[0]
         return BurnWindow(

@@ -42,7 +42,8 @@ controller's feedback makes the elastic path inherently sequential, so
 every elastic run takes this loop whatever
 :attr:`~repro.serve.simulator.ServeConfig.engine` says (the flag selects
 only the static scheduler); the per-tick overdue count comes from the
-amortized-O(1) :class:`~repro.simcore.elastic.OverdueTracker`.
+controller's :class:`~repro.monitor.signal.BurnSignal`, which the loop
+feeds every admission and completion (amortised ``O(1)`` per request).
 
 **Fault plans and ABFT integrity compose with the elastic loop**, since
 timeouts, outages, bit flips, ECC, ABFT, retries and deaths are the
@@ -97,7 +98,6 @@ from ..serve.simulator import ServeConfig, ServeReport, \
     emit_integrity_trace, stage_recorder
 from ..serve.workload import ClosedLoopConfig, check_arrival_times, \
     poisson_arrival_times, spike_arrival_times, trace_arrivals
-from ..simcore.elastic import OverdueTracker
 from .controller import SCALE_DOWN, SCALE_UP, BurnRateController
 from .policy import AutoscalePolicy, PoolBoundsError, ScalePolicy, \
     ScalePolicyError
@@ -727,10 +727,8 @@ class _ElasticScheduler(DiscreteEventScheduler):
                       for cls in classes]
         controller = BurnRateController(auto, cfg.slo_s,
                                         n_classes=len(classes))
+        note_admission = controller.signal.note_admission
         note_completion = controller.note_completion
-        overdue = OverdueTracker(cfg.slo_s, len(classes))
-        overdue_admit = overdue.admit
-        overdue_resolve = overdue.resolve
         injector = self.injector
         merge_for = sim._merge_for
         prefill_s = sim.prefill_s
@@ -776,18 +774,17 @@ class _ElasticScheduler(DiscreteEventScheduler):
                     next_think(now)
                 return False
             n_open += 1
-            overdue_admit(req_id, now, prio)
+            note_admission(req_id, now, prio)
             return True
 
         def on_resolved(record: RequestRecord, now: float) -> None:
             nonlocal n_open
             n_open -= 1
             req_id = record.req_id
-            overdue_resolve(req_id)
             merge = merge_for(record.n_required)
             lat = (now - record.arrival_s) + merge + prefill_s
             tti_latency[req_id] = lat
-            note_completion(now, lat, priorities[req_id])
+            note_completion(req_id, now, lat, priorities[req_id])
             if closed is not None:
                 next_think(now + merge + prefill_s)
 
@@ -853,7 +850,7 @@ class _ElasticScheduler(DiscreteEventScheduler):
         def tick(now: float) -> None:
             class_burns = tuple(
                 controller.burn_rate(window) for window in
-                controller.class_windows(now, overdue.counts(now)))
+                controller.class_windows(now))
             burn = max((0.0,) + class_burns)
             actions.append(ScaleAction(
                 kind="tick", t_s=now, pool_size=len(serving),

@@ -480,6 +480,7 @@ class ServingSimulator:
         byte-identity on both engines).
         """
         from ..monitor import DEFAULT_CADENCE_S, build_run_monitor
+        from ..telemetry.build import SERVE_SLO_TARGET
 
         report, telemetry = self.run_with_telemetry(requests)
         result = self._last_result
@@ -495,8 +496,7 @@ class ServingSimulator:
             workload=workload,
             result=result,
             slo_s=self.config.slo_s,
-            # The registry's default SLO burn budget (slo_target=0.99).
-            error_budget=1.0 - 0.99,
+            error_budget=1.0 - SERVE_SLO_TARGET,
             class_names=("all",),
             priorities={},
             tti_by_req=tti_by_req,

@@ -48,6 +48,8 @@ from .metrics import (
     Histogram,
     MetricRegistrationError,
     MetricsRegistry,
+    QuantileSketch,
+    SketchError,
     slo_burn_windows,
 )
 from .render import (
@@ -93,6 +95,8 @@ __all__ = [
     "Histogram",
     "MetricRegistrationError",
     "MetricsRegistry",
+    "QuantileSketch",
+    "SketchError",
     "BurnWindow",
     "slo_burn_windows",
     "DEFAULT_LATENCY_BOUNDS_S",

@@ -56,6 +56,10 @@ __all__ = [
     "reconcile_with_trace",
 ]
 
+#: The SLO target the static serving burn rate is reported against:
+#: the registry's ``repro_slo_burn_rate`` and the monitor's burn series.
+SERVE_SLO_TARGET = 0.99
+
 #: Batch-size histogram boundaries (dynamic batches cap at powers of 2).
 BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -255,8 +259,7 @@ def build_query_traces(result: Any,
 def build_serve_metrics(report: Any, result: Any,
                         paths: Sequence[CriticalPath],
                         traces: Sequence[QueryTrace],
-                        n_burn_windows: int = 4,
-                        slo_target: float = 0.99) -> MetricsRegistry:
+                        n_burn_windows: int = 4) -> MetricsRegistry:
     """Populate a registry from one serving run.
 
     The same derivational hooks as the span trees: everything comes
@@ -380,8 +383,8 @@ def build_serve_metrics(report: Any, result: Any,
     burn = registry.gauge(
         "repro_slo_burn_rate",
         f"SLO error-budget burn rate per window "
-        f"(target {slo_target:g})")
-    budget = 1.0 - slo_target
+        f"(target {SERVE_SLO_TARGET:g})")
+    budget = 1.0 - SERVE_SLO_TARGET
     windows = slo_burn_windows(
         [t.arrival_s for t in traces], [t.tti_s for t in traces],
         cfg.slo_s, report.makespan_s, n_burn_windows)

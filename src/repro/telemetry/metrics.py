@@ -6,12 +6,17 @@ simulators are seeded discrete-event models, so metrics are model
 outputs, not samples -- which lets the Prometheus exposition be pinned
 as a golden file.
 
-Histograms use **fixed boundaries** and an exact quantile rule chosen
-to agree with :func:`repro.serve.metrics.nearest_rank_percentile`:
+Bucket counts live in one place, :class:`QuantileSketch`: fixed
+boundaries and an exact quantile rule chosen to agree with
+:func:`repro.serve.metrics.nearest_rank_percentile` --
 ``quantile(p)`` returns the smallest bucket boundary at or above the
 nearest-rank p-th percentile of the observed samples (``inf`` when it
 falls in the overflow bucket).  That is the tightest statement a
 fixed-boundary histogram can make, and the property suite pins it.
+A registry :class:`Histogram` is one sketch plus a float sum per label
+set, and the monitor's streaming TTI quantiles read the same class.
+Counters and gauges reject NaN (and counters reject ``inf``), so a NaN
+never reaches an exposition line.
 
 SLO **burn rate** follows the SRE convention: over a window, the
 fraction of requests violating the SLO divided by the error budget
@@ -21,10 +26,12 @@ exactly as fast as it accrues; above 1 it is burning toward violation.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, \
+    Tuple, TypeVar
 
 __all__ = [
     "Counter",
@@ -32,6 +39,8 @@ __all__ = [
     "Histogram",
     "MetricRegistrationError",
     "MetricsRegistry",
+    "QuantileSketch",
+    "SketchError",
     "BurnWindow",
     "slo_burn_windows",
     "DEFAULT_LATENCY_BOUNDS_S",
@@ -43,6 +52,8 @@ DEFAULT_LATENCY_BOUNDS_S = (
     1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2,
     1e-1, 2e-1, 5e-1, 1.0, 2.0, 5.0,
 )
+
+_T = TypeVar("_T")
 
 #: Canonical label-set key: sorted (name, value) pairs.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -98,6 +109,9 @@ class Counter(_Metric):
         self._samples: Dict[LabelKey, float] = {}
 
     def inc(self, value: float = 1.0, **labels: str) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"counter {self.name}: increment must be "
+                             f"finite, got {value!r}")
         if value < 0:
             raise ValueError(f"counter {self.name} cannot decrease "
                              f"(inc by {value!r})")
@@ -129,6 +143,8 @@ class Gauge(_Metric):
         self._samples: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
+        if math.isnan(value):
+            raise ValueError(f"gauge {self.name}: cannot set NaN")
         self._samples[_label_key(labels)] = float(value)
 
     def value(self, **labels: str) -> Optional[float]:
@@ -146,54 +162,119 @@ class Gauge(_Metric):
                 for key in sorted(self._samples)]
 
 
-class _HistogramSeries:
-    __slots__ = ("bucket_counts", "total", "count")
+class SketchError(ValueError):
+    """Raised for invalid sketch construction or queries."""
 
-    def __init__(self, n_buckets: int):
-        self.bucket_counts = [0] * n_buckets   # per-bucket, not cumulative
-        self.total = 0.0
-        self.count = 0
+
+class QuantileSketch:
+    """Fixed-boundary bucket counts with nearest-rank quantiles.
+
+    ``boundaries`` must be strictly increasing and finite.  A sample
+    ``v`` lands in the first bucket whose boundary is ``>= v``; samples
+    above the last boundary land in the overflow bucket, for which
+    :meth:`quantile` answers ``inf`` (the exposition's ``+Inf``
+    bucket).  The state is nothing but integer counts, so it is
+    bit-deterministic whatever order the samples arrive in.
+    """
+
+    __slots__ = ("boundaries", "counts")
+
+    def __init__(self,
+                 boundaries: Sequence[float] = DEFAULT_LATENCY_BOUNDS_S
+                 ) -> None:
+        bounds = tuple(float(b) for b in boundaries)
+        if not bounds:
+            raise SketchError("sketch needs at least one boundary")
+        for b in bounds:
+            if not math.isfinite(b):
+                raise SketchError(f"non-finite boundary {b!r}")
+        for lo, hi in zip(bounds, bounds[1:]):
+            if not lo < hi:
+                raise SketchError(
+                    f"boundaries must be strictly increasing, "
+                    f"got {lo!r} >= {hi!r}")
+        self.boundaries: Tuple[float, ...] = bounds
+        self.counts: List[int] = [0] * (len(bounds) + 1)
+
+    def observe(self, value: float) -> None:
+        """Record one sample."""
+        if math.isnan(value):
+            raise SketchError("cannot observe NaN")
+        # First bucket whose boundary is >= value; bisect_left on the
+        # sorted ladder finds it, and len(boundaries) is the overflow.
+        self.counts[bisect.bisect_left(self.boundaries, value)] += 1
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        for v in values:
+            self.observe(v)
+
+    @property
+    def count(self) -> int:
+        return sum(self.counts)
+
+    def quantile(self, pct: float) -> float:
+        """Smallest boundary covering the nearest-rank percentile."""
+        return self.quantiles((pct,))[0]
+
+    def quantiles(self, percentiles: Sequence[float]) -> List[float]:
+        """Every ascending percentile's answer in one cumulative pass.
+
+        Rank ``max(1, ceil(pct/100 * count))``, answered by the first
+        boundary whose cumulative count reaches it; ``inf`` when the
+        rank falls in the overflow bucket.
+        """
+        for pct in percentiles:
+            if not 0.0 < pct <= 100.0:
+                raise SketchError(f"percentile out of range: {pct!r}")
+        if list(percentiles) != sorted(percentiles):
+            raise SketchError(
+                f"percentiles must be ascending, got {percentiles!r}")
+        total = self.count
+        if total == 0:
+            raise SketchError("quantile of empty sketch")
+        ranks = [max(1, math.ceil(pct / 100.0 * total))
+                 for pct in percentiles]
+        values: List[float] = []
+        cumulative = 0
+        for bound, n in zip(self.boundaries + (math.inf,), self.counts):
+            cumulative += n
+            while len(values) < len(ranks) \
+                    and cumulative >= ranks[len(values)]:
+                values.append(bound)
+        return values
 
 
 class Histogram(_Metric):
-    """Exact fixed-boundary histogram with nearest-rank quantiles."""
+    """Exact fixed-boundary histogram: one sketch and sum per label set."""
 
     kind = "histogram"
 
     def __init__(self, name: str, help_text: str,
                  boundaries: Sequence[float] = DEFAULT_LATENCY_BOUNDS_S):
         super().__init__(name, help_text)
-        bounds = tuple(float(b) for b in boundaries)
-        if not bounds:
-            raise ValueError("histogram needs at least one boundary")
-        if any(not math.isfinite(b) for b in bounds):
-            raise ValueError("histogram boundaries must be finite")
-        if list(bounds) != sorted(set(bounds)):
-            raise ValueError(
-                f"boundaries must be strictly increasing, got {bounds!r}")
-        self.boundaries = bounds
-        self._series: Dict[LabelKey, _HistogramSeries] = {}
+        self.boundaries = self._named(QuantileSketch, boundaries).boundaries
+        self._sketches: Dict[LabelKey, QuantileSketch] = {}
+        self._sums: Dict[LabelKey, float] = {}
+
+    def _named(self, call: Callable[..., _T], *args: Any) -> _T:
+        """``call(*args)``, with any sketch error naming this metric."""
+        try:
+            return call(*args)
+        except SketchError as exc:
+            raise SketchError(f"histogram {self.name}: {exc}") from None
 
     def observe(self, value: float, **labels: str) -> None:
-        if math.isnan(value):
-            raise ValueError(f"histogram {self.name}: NaN observation")
         key = _label_key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _HistogramSeries(
-                len(self.boundaries) + 1)
-        index = len(self.boundaries)          # overflow bucket
-        for i, bound in enumerate(self.boundaries):
-            if value <= bound:
-                index = i
-                break
-        series.bucket_counts[index] += 1
-        series.total += value
-        series.count += 1
+        sketch = self._sketches.get(key)
+        if sketch is None:
+            sketch = QuantileSketch(self.boundaries)
+        self._named(sketch.observe, value)
+        self._sketches[key] = sketch
+        self._sums[key] = self._sums.get(key, 0.0) + value
 
     def count(self, **labels: str) -> int:
-        series = self._series.get(_label_key(labels))
-        return 0 if series is None else series.count
+        sketch = self._sketches.get(_label_key(labels))
+        return 0 if sketch is None else sketch.count
 
     def quantile(self, pct: float, **labels: str) -> float:
         """Smallest boundary at/above the nearest-rank percentile.
@@ -201,50 +282,41 @@ class Histogram(_Metric):
         ``inf`` when the rank falls in the overflow bucket; raises on
         an empty series, matching ``nearest_rank_percentile``.
         """
-        if not 0 < pct <= 100:
-            raise ValueError(f"percentile must be in (0, 100], got {pct!r}")
-        series = self._series.get(_label_key(labels))
-        if series is None or series.count == 0:
-            raise ValueError(
-                f"quantile of empty histogram series {self.name}")
-        rank = max(1, math.ceil(pct / 100.0 * series.count))
-        cumulative = 0
-        for i, bound in enumerate(self.boundaries):
-            cumulative += series.bucket_counts[i]
-            if cumulative >= rank:
-                return bound
-        return math.inf
+        sketch = self._sketches.get(_label_key(labels))
+        if sketch is None:
+            sketch = QuantileSketch(self.boundaries)
+        return self._named(sketch.quantile, pct)
 
     def expose_lines(self) -> List[str]:
         lines = self.header_lines()
-        for key in sorted(self._series):
-            series = self._series[key]
+        for key in sorted(self._sketches):
+            counts = self._sketches[key].counts
             cumulative = 0
-            for i, bound in enumerate(self.boundaries):
-                cumulative += series.bucket_counts[i]
+            for bound, n in zip(self.boundaries, counts):
+                cumulative += n
                 le_key = key + (("le", _fmt_value(bound)),)
                 lines.append(f"{self.name}_bucket{_fmt_labels(le_key)} "
                              f"{cumulative}")
+            total = cumulative + counts[-1]
             inf_key = key + (("le", "+Inf"),)
             lines.append(f"{self.name}_bucket{_fmt_labels(inf_key)} "
-                         f"{series.count}")
+                         f"{total}")
             lines.append(f"{self.name}_sum{_fmt_labels(key)} "
-                         f"{_fmt_value(series.total)}")
-            lines.append(f"{self.name}_count{_fmt_labels(key)} "
-                         f"{series.count}")
+                         f"{_fmt_value(self._sums[key])}")
+            lines.append(f"{self.name}_count{_fmt_labels(key)} {total}")
         return lines
 
     def snapshot(self) -> List[Dict[str, object]]:
         rows = []
-        for key in sorted(self._series):
-            series = self._series[key]
+        for key in sorted(self._sketches):
+            sketch = self._sketches[key]
             rows.append({
                 "labels": dict(key),
                 "buckets": dict(zip(
                     [_fmt_value(b) for b in self.boundaries] + ["+Inf"],
-                    series.bucket_counts)),
-                "sum": series.total,
-                "count": series.count,
+                    sketch.counts)),
+                "sum": self._sums[key],
+                "count": sketch.count,
             })
         return rows
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -162,6 +163,34 @@ def test_qps_windows_sum_to_completions():
     qps = monitor.get("repro_monitor_qps")
     total = sum(v * monitor.cadence_s for _, v in qps.points)
     assert total == pytest.approx(report.n_completed, rel=1e-9)
+
+
+def _monitor_peak_bytes(monkeypatch, n_requests):
+    """tracemalloc peak of ``build_run_monitor`` inside one static run."""
+    peaks = []
+
+    def traced(**kwargs):
+        tracemalloc.start()
+        try:
+            return build_run_monitor(**kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(repro.monitor, "build_run_monitor", traced)
+    config = dataclasses.replace(golden_serve_config(), qps=1500.0,
+                                 n_requests=n_requests)
+    ServingSimulator(config).run_with_monitor()
+    [peak] = peaks
+    return peak
+
+
+def test_monitor_memory_grows_linearly(monkeypatch):
+    """The burn replay once broadcast instants x requests, so doubling
+    the run nearly quadrupled the builder's peak memory."""
+    small = _monitor_peak_bytes(monkeypatch, 3000)
+    large = _monitor_peak_bytes(monkeypatch, 6000)
+    assert large <= 2.3 * small, (small, large)
 
 
 # -- builder validation ------------------------------------------------

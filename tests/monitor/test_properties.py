@@ -1,18 +1,15 @@
 """Property suite: monitor invariants under randomized inputs.
 
-Four laws, checked with Hypothesis:
+Three laws, checked with Hypothesis:
 
-1. **Sketch merge is a commutative monoid, bitwise.**  Bucket counts
-   are integers, so merge order can never change a single bit of any
-   digest or quantile.
-2. **Rank-error bound.**  A sketch quantile differs from the exact
+1. **Rank-error bound.**  A sketch quantile differs from the exact
    ``nearest_rank_percentile`` of the raw sample by at most one bucket:
    the reported boundary is the smallest boundary at or above the true
    percentile.
-3. **Hash-seed determinism.**  The sketch digest and the monitor
+2. **Hash-seed determinism.**  The sketch state and the monitor
    exposition are byte-identical across processes with different
    ``PYTHONHASHSEED`` values -- nothing leaks iteration order.
-4. **Cycle conservation.**  Monitor series are a lossless projection
+3. **Cycle conservation.**  Monitor series are a lossless projection
    of the span record: windowed qps rows sum back to the completion
    count and the stage attribution in a run bundle sums to the
    telemetry's critical-path totals.
@@ -45,20 +42,6 @@ def _sketch(values):
     return s
 
 
-@given(a=samples, b=samples, c=samples)
-@settings(max_examples=200, deadline=None)
-def test_sketch_merge_associative_and_commutative(a, b, c):
-    sa, sb, sc = _sketch(a), _sketch(b), _sketch(c)
-    left = sa.merge(sb).merge(sc)
-    right = sa.merge(sb.merge(sc))
-    flipped = sc.merge(sa.merge(sb))
-    assert left == right == flipped
-    assert left.digest() == right.digest() == flipped.digest()
-    assert left.counts == right.counts
-    one_shot = _sketch(a + b + c)
-    assert left == one_shot
-
-
 @given(values=samples,
        pct=st.floats(min_value=0.001, max_value=100.0,
                      allow_nan=False))
@@ -75,16 +58,6 @@ def test_sketch_quantile_within_one_bucket_of_exact(values, pct):
         assert smaller[-1] < exact or smaller[-1] < got
 
 
-@given(values=samples)
-@settings(max_examples=100, deadline=None)
-def test_sketch_round_trip_preserves_quantiles(values):
-    sketch = _sketch(values)
-    again = QuantileSketch.from_dict(sketch.to_dict())
-    for pct in (50.0, 95.0, 99.0):
-        assert again.quantile(pct) == sketch.quantile(pct)
-    assert again.digest() == sketch.digest()
-
-
 _HASHSEED_SNIPPET = """
 import sys
 sys.path.insert(0, {src!r})
@@ -94,7 +67,7 @@ from repro.serve.simulator import ServingSimulator, golden_serve_config
 s = QuantileSketch()
 s.observe_many([1.3e-4, 0.07, 0.07, 2.5, 9000.0])
 _r, _t, monitor = ServingSimulator(golden_serve_config()).run_with_monitor()
-sys.stdout.write(s.digest() + "\\n")
+sys.stdout.write(repr((s.counts, s.quantiles((50.0, 99.0)))) + "\\n")
 sys.stdout.write(str(len(openmetrics_text(monitor))) + "\\n")
 sys.stdout.write(monitor.get("repro_monitor_qps").final().hex() + "\\n")
 """

@@ -1,17 +1,15 @@
-"""Unit pins for the deterministic mergeable quantile sketch."""
+"""Unit pins for the fixed-boundary quantile sketch."""
 
 import math
 
 import pytest
 
 from repro.monitor import QuantileSketch, SketchError
-from repro.telemetry import Histogram
 
 
 def test_empty_sketch_state():
     s = QuantileSketch()
     assert s.count == 0
-    assert s.rank_error_bound() == 0.0
     with pytest.raises(SketchError):
         s.quantile(50.0)
 
@@ -54,36 +52,6 @@ def test_quantile_out_of_range():
             s.quantile(pct)
 
 
-def test_quantile_matches_registry_histogram():
-    """Same answer as Histogram.quantile on the same boundary ladder."""
-    hist = Histogram("h", "help")
-    sketch = QuantileSketch()
-    values = [1.3e-4, 5e-4, 5e-4, 0.003, 0.04, 0.09, 0.3, 0.9, 1.7, 9.0]
-    for v in values:
-        hist.observe(v)
-        sketch.observe(v)
-    for pct in (1.0, 10.0, 50.0, 90.0, 95.0, 99.0, 100.0):
-        assert sketch.quantile(pct) == hist.quantile(pct)
-
-
-def test_merge_adds_counts():
-    a = QuantileSketch(boundaries=(1.0, 2.0))
-    b = QuantileSketch(boundaries=(1.0, 2.0))
-    a.observe_many([0.5, 1.5])
-    b.observe_many([0.5, 9.0])
-    merged = a.merge(b)
-    assert merged.counts == [2, 1, 1]
-    # inputs untouched
-    assert a.counts == [1, 1, 0]
-    assert b.counts == [1, 0, 1]
-
-
-def test_merge_boundary_mismatch_raises():
-    with pytest.raises(SketchError):
-        QuantileSketch(boundaries=(1.0,)).merge(
-            QuantileSketch(boundaries=(2.0,)))
-
-
 def test_construction_validation():
     with pytest.raises(SketchError):
         QuantileSketch(boundaries=())
@@ -93,25 +61,13 @@ def test_construction_validation():
         QuantileSketch(boundaries=(2.0, 1.0))
     with pytest.raises(SketchError):
         QuantileSketch(boundaries=(math.inf,))
-    with pytest.raises(SketchError):
-        QuantileSketch(boundaries=(1.0,), counts=(1,))  # needs 2
-    with pytest.raises(SketchError):
-        QuantileSketch(boundaries=(1.0,), counts=(1, -1))
 
 
-def test_rank_error_bound_is_max_bucket_mass():
-    s = QuantileSketch(boundaries=(1.0, 2.0))
-    s.observe_many([0.5, 0.5, 0.5, 1.5])
-    assert s.rank_error_bound() == 0.75
-
-
-def test_round_trip_and_equality():
-    s = QuantileSketch()
-    s.observe_many([1e-4, 0.03, 7.0])
-    again = QuantileSketch.from_dict(s.to_dict())
-    assert again == s
-    assert again.digest() == s.digest()
-    assert s.copy() == s
-    other = s.copy()
-    other.observe(0.5)
-    assert other != s
+def test_quantiles_answers_every_percentile_in_one_pass():
+    s = QuantileSketch(boundaries=(1.0, 2.0, 5.0))
+    s.observe_many([0.5, 1.5, 1.6, 4.0, 9.0])
+    pcts = (20.0, 50.0, 80.0, 100.0)
+    assert s.quantiles(pcts) == [s.quantile(p) for p in pcts]
+    assert s.quantiles(pcts) == [1.0, 2.0, 5.0, math.inf]
+    with pytest.raises(SketchError, match="ascending"):
+        s.quantiles((99.0, 50.0))

@@ -164,7 +164,7 @@ class TestControllerFailover:
         policy = AutoscalePolicy(control_interval_s=0.010)
         controller = BurnRateController(policy, slo_s=0.1)
         controller.note_fault(0.005)
-        controller.class_windows(0.010, [0])
+        controller.class_windows(0.010)
         assert controller.recent_faults() == 1
-        controller.class_windows(0.020, [0])
+        controller.class_windows(0.020)
         assert controller.recent_faults() == 0

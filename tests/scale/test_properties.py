@@ -167,16 +167,22 @@ def test_class_burn_rates_partition_the_global_burn(data):
                   st.integers(min_value=0, max_value=n_classes - 1)),
         max_size=40))
     events.sort(key=lambda event: event[0])
-    for t_s, violated, cls in events:
+    for req_id, (t_s, violated, cls) in enumerate(events):
         latency = 0.2 if violated else 0.05
-        per_class.note_completion(t_s, latency, cls)
-        aggregate.note_completion(t_s, latency, cls)
-    overdue = data.draw(st.lists(
-        st.integers(min_value=0, max_value=5),
-        min_size=n_classes, max_size=n_classes))
+        per_class.note_completion(req_id, t_s, latency, cls)
+        aggregate.note_completion(req_id, t_s, latency, cls)
+    # Open admissions, some already older than the SLO at the tick.
+    pending = data.draw(st.lists(
+        st.tuples(st.floats(min_value=-0.2, max_value=0.010),
+                  st.integers(min_value=0, max_value=n_classes - 1)),
+        max_size=20))
+    pending.sort(key=lambda admission: admission[0])
+    for offset, (arrival_s, cls) in enumerate(pending):
+        per_class.signal.note_admission(len(events) + offset, arrival_s, cls)
+        aggregate.signal.note_admission(len(events) + offset, arrival_s, cls)
 
-    windows = per_class.class_windows(0.010, overdue)
-    total = aggregate.window(0.010, sum(overdue))
+    windows = per_class.class_windows(0.010)
+    total = aggregate.window(0.010)
     assert len(windows) == n_classes
     assert all(w.index == total.index for w in windows)
     assert sum(w.n_requests for w in windows) == total.n_requests

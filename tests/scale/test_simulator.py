@@ -322,13 +322,16 @@ class TestController:
     def test_window_only_counts_the_trailing_interval(self):
         controller = BurnRateController(
             AutoscalePolicy(control_interval_s=0.010), slo_s=0.1)
-        controller.note_completion(0.001, tti_latency_s=0.2)  # violation
-        controller.note_completion(0.009, tti_latency_s=0.05)
-        window = controller.window(0.010, n_overdue_pending=0)
+        for req_id in range(3):
+            # Unresolved, and older than the SLO by the second window.
+            controller.signal.note_admission(req_id, -0.085)
+        controller.note_completion(10, 0.001, tti_latency_s=0.2)  # violation
+        controller.note_completion(11, 0.009, tti_latency_s=0.05)
+        window = controller.window(0.010)
         assert window.n_requests == 2
         assert window.n_violations == 1
         # The next window starts at 0.010; both completions age out.
-        window = controller.window(0.020, n_overdue_pending=3)
+        window = controller.window(0.020)
         assert window.n_requests == 3
         assert window.n_violations == 3
         assert window.index == 1

@@ -1,10 +1,10 @@
-"""OverdueTracker against the brute-force scan it replaces.
+"""The burn signal's overdue count against the brute-force scan.
 
 The elastic loop asks, at every control tick, how many admitted and
 still unresolved requests per priority class are older than the SLO.
-:class:`~repro.simcore.elastic.OverdueTracker` answers from a monotone
-cursor; :func:`_scan` below is the full scan over every admitted record
-that the loop used to run, kept here as an independent oracle.
+:meth:`~repro.monitor.signal.BurnSignal.overdue` answers from a
+monotone cursor; :func:`_scan` below is the full scan over every
+admitted record, kept here as an independent oracle.
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore.elastic import OverdueTracker
+from repro.monitor import BurnSignal
 
 N_CLASSES = 3
 SLOS = (0.5, 0.1, 0.512)
@@ -52,7 +52,7 @@ def scenarios(draw):
 @given(scenarios())
 def test_counts_match_brute_force_scan(scenario):
     slo_s, ops = scenario
-    tracker = OverdueTracker(slo_s, N_CLASSES)
+    signal = BurnSignal(1.0, slo_s, N_CLASSES)
     records = {}  # req_id -> (arrival_s, class, resolved)
     now = 0.0
     for op in ops:
@@ -61,7 +61,7 @@ def test_counts_match_brute_force_scan(scenario):
             now += dt
             req_id = len(records)
             records[req_id] = (now, cls, False)
-            tracker.admit(req_id, now, cls)
+            signal.note_admission(req_id, now, cls)
         elif op[0] == "resolve":
             open_ids = [i for i, r in records.items() if not r[2]]
             if not open_ids:
@@ -69,25 +69,24 @@ def test_counts_match_brute_force_scan(scenario):
             req_id = open_ids[op[1] % len(open_ids)]
             arrival, cls, _ = records[req_id]
             records[req_id] = (arrival, cls, True)
-            tracker.resolve(req_id)
+            signal.note_completion(req_id, now, 0.0, cls)
         else:
             now += op[1]
-            assert tracker.counts(now) == _scan(records, now, slo_s)
-            assert list(tracker.snapshot()) == _scan(records, now, slo_s)
-    assert tracker.counts(now) == _scan(records, now, slo_s)
+            assert signal.overdue(now) == _scan(records, now, slo_s)
+    assert signal.overdue(now) == _scan(records, now, slo_s)
 
 
 def test_age_exactly_at_slo_is_not_overdue():
-    tracker = OverdueTracker(0.5, 1)
-    tracker.admit(0, 0.25, 0)
-    assert tracker.counts(0.75) == [0]  # age == slo: not past it
-    assert tracker.counts(math.nextafter(0.75, 1.0)) == [1]
-    tracker.resolve(0)
-    tracker.resolve(0)  # idempotent
-    assert tracker.counts(1.0) == [0]
+    signal = BurnSignal(1.0, 0.5)
+    signal.note_admission(0, 0.25)
+    assert signal.overdue(0.75) == [0]  # age == slo: not past it
+    assert signal.overdue(math.nextafter(0.75, 1.0)) == [1]
+    signal.note_completion(0, 0.9, 0.65)
+    signal.note_completion(0, 0.9, 0.65)  # resolving twice is harmless
+    assert signal.overdue(1.0) == [0]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_slo_must_be_finite_and_positive(bad):
     with pytest.raises(ValueError, match="slo_s must be finite"):
-        OverdueTracker(bad, 1)
+        BurnSignal(1.0, bad)

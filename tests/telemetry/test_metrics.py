@@ -32,6 +32,16 @@ class TestCounter:
         with pytest.raises(ValueError, match="cannot decrease"):
             counter.inc(-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_increment(self, bad):
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_test_total", "help")
+        with pytest.raises(ValueError,
+                           match="counter repro_test_total: .*finite"):
+            counter.inc(bad)
+        assert "nan" not in registry.expose()
+        assert counter.value() == 0.0
+
     def test_label_order_is_canonical(self):
         counter = Counter("repro_test_total", "help")
         counter.inc(b="2", a="1")
@@ -45,6 +55,15 @@ class TestGauge:
         gauge.set(0.75)
         assert gauge.value() == 0.75
         assert gauge.value(shard="0") is None
+
+    def test_rejects_nan_but_exposes_inf(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("repro_test_ratio", "help")
+        with pytest.raises(ValueError, match="gauge repro_test_ratio: .*NaN"):
+            gauge.set(math.nan)
+        assert gauge.value() is None
+        gauge.set(math.inf)
+        assert "repro_test_ratio +Inf" in registry.expose()
 
 
 class TestHistogram:
@@ -60,6 +79,19 @@ class TestHistogram:
         hist = Histogram("repro_test_seconds", "h", (1.0,))
         with pytest.raises(ValueError, match="NaN"):
             hist.observe(math.nan)
+
+    def test_errors_name_the_metric(self):
+        with pytest.raises(ValueError, match="histogram repro_bad_seconds"):
+            Histogram("repro_bad_seconds", "h", (2.0, 1.0))
+        hist = Histogram("repro_test_seconds", "h", (1.0,))
+        for call in (lambda: hist.observe(math.nan),
+                     lambda: hist.quantile(50),
+                     lambda: hist.quantile(0)):
+            with pytest.raises(ValueError,
+                               match="histogram repro_test_seconds: "):
+                call()
+        # A rejected observation leaves no empty series behind.
+        assert hist.expose_lines() == hist.header_lines()
 
     def test_quantile_agrees_with_nearest_rank(self):
         bounds = (0.1, 0.2, 0.5, 1.0)
